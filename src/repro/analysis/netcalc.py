@@ -377,21 +377,19 @@ def service_curve(
 ) -> RateLatency:
     """Per-flow strict service curve for one certified discipline.
 
-    ``discipline`` is a registry name (``:fast`` twins map to their
-    object discipline); ``weights`` is the complete flow set at the
-    node, including this flow's own ``weight``.
+    ``discipline`` is a registry name; ``weights`` is the complete flow
+    set at the node, including this flow's own ``weight``.
     """
-    name = discipline[:-5] if discipline.endswith(":fast") else discipline
-    if name == "srr":
+    if discipline == "srr":
         return srr_service_curve(int(weight), [int(w) for w in weights],
                                  packet_size, link_rate_bps)
-    if name == "drr":
+    if discipline == "drr":
         return drr_service_curve(weight, weights, quantum, packet_size,
                                  link_rate_bps)
-    if name == "wrr":
+    if discipline == "wrr":
         return wrr_service_curve(int(weight), [int(w) for w in weights],
                                  packet_size, link_rate_bps)
-    if name == "iwrr":
+    if discipline == "iwrr":
         return iwrr_service_curve(int(weight), [int(w) for w in weights],
                                   packet_size, link_rate_bps)
     raise ConfigurationError(

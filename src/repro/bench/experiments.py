@@ -44,7 +44,7 @@ from ..core.wss import (
     wss_sequence,
 )
 from ..harness import ExperimentSpec, RunContext, run_spec
-from ..schedulers.registry import create_scheduler, resolve_scheduler
+from ..schedulers.registry import create_scheduler
 from .scenarios import (
     BOTTLENECK_BPS,
     MTU,
@@ -54,7 +54,6 @@ from .scenarios import (
 )
 from .workloads import (
     build_loaded_scheduler,
-    flight_profile,
     geometric_weights,
     ops_profile,
     service_sequence,
@@ -477,11 +476,6 @@ class E5Params:
     n_values: Tuple[int, ...] = (16, 64, 256, 1024, 4096)
     measure: int = 3000
     time_it: bool = False
-    #: "object" profiles dequeue() on the object schedulers; "fast"
-    #: swaps in the flat twins where they exist (srr -> srr:fast) and
-    #: profiles the scalar push/pull datapath through an exhaustive
-    #: flight recorder -- the fast-core O(1) evidence table.
-    core: str = "object"
 
 
 def _e5_kwargs(name: str, n: int) -> Dict:
@@ -501,27 +495,18 @@ def _time_per_packet(name: str, n_flows: int, **kwargs) -> float:
     return (time.perf_counter() - start) / count
 
 
-def _e5_point(
-    name: str, n: int, measure: int, time_it: bool, core: str = "object"
-) -> Dict:
+def _e5_point(name: str, n: int, measure: int, time_it: bool) -> Dict:
     from ..obs.metrics import MetricsRegistry
 
-    resolved = resolve_scheduler(name, core)
     kwargs = _e5_kwargs(name, n)
     # A per-point registry: the dequeue_ops / wss_terms histograms travel
     # back with the record and merge deterministically in the parent (the
     # point may run in a pool worker).
     registry = MetricsRegistry()
-    if resolved != name:
-        # Flat twin: the scalar datapath, exhaustively flight-recorded
-        # (and the FlowLanes data-plane counters exported alongside).
-        profile = flight_profile(resolved, n, measure=measure,
-                                 registry=registry, label=resolved, **kwargs)
-    else:
-        profile = ops_profile(name, n, measure=measure, registry=registry,
-                              **kwargs)
+    profile = ops_profile(name, n, measure=measure, registry=registry,
+                          **kwargs)
     record = {
-        "scheduler": resolved,
+        "scheduler": name,
         "n": n,
         "mean_ops": round(profile["mean_ops"], 2),
         "p50_ops": int(profile["p50_ops"]),
@@ -531,14 +516,12 @@ def _e5_point(
         "served": int(profile["served"]),
         "metrics_snapshot": registry.snapshot(),
     }
-    if "flight" in profile:
-        record["flight"] = profile["flight"]
     if "worst_scan_terms" in profile:
         record["p99_scan_terms"] = int(profile["p99_scan_terms"])
         record["worst_scan_terms"] = int(profile["worst_scan_terms"])
     if time_it:
         record["us_per_packet"] = round(
-            _time_per_packet(resolved, n, **kwargs) * 1e6, 3
+            _time_per_packet(name, n, **kwargs) * 1e6, 3
         )
     return record
 
@@ -552,25 +535,12 @@ def _e5_body(p: E5Params, ctx: RunContext) -> Dict:
     the run's ``obs.metrics`` block (``python -m repro.obs report``).
     """
     tasks = [
-        (name, n, p.measure, p.time_it, p.core)
+        (name, n, p.measure, p.time_it)
         for name in p.schedulers for n in p.n_values
     ]
     records = ctx.sweep(_e5_point, tasks)
     for record in records:
         ctx.record_metrics(record.pop("metrics_snapshot"))
-    flights = [r.pop("flight") for r in records if "flight" in r]
-    if flights:
-        # Fast-core points drain their recorders into one obs block so
-        # the artifact carries the recording totals next to the merged
-        # dequeue_ops/wss_terms histograms.
-        ctx.record_flight({
-            "schema": flights[0]["schema"],
-            "sample_shift": flights[0]["sample_shift"],
-            "points": len(flights),
-            "ops_seen": sum(f["ops_seen"] for f in flights),
-            "recorded": sum(f["recorded"] for f in flights),
-            "dropped": sum(f["dropped"] for f in flights),
-        })
     ctx.add_points(records)
     ctx.record_engine({
         "ops": sum(r["total_ops"] for r in records),
@@ -589,8 +559,7 @@ def _e5_body(p: E5Params, ctx: RunContext) -> Dict:
         title="E5: per-dequeue scheduling cost vs number of flows "
               "(flat p99 = O(1); growing = O(log N) or worse)",
     )
-    resolved = [resolve_scheduler(name, p.core) for name in p.schedulers]
-    results: Dict[str, Dict[int, float]] = {name: {} for name in resolved}
+    results: Dict[str, Dict[int, float]] = {name: {} for name in p.schedulers}
     for record in records:
         results[record["scheduler"]][record["n"]] = record["mean_ops"]
     return results

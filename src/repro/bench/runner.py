@@ -231,12 +231,6 @@ def main(argv: List[str] = None) -> int:
              "1-shard reference the digest is checked against",
     )
     parser.add_argument(
-        "--core", choices=("object", "fast"), default=None,
-        help="scheduler core for experiments that support it: 'fast' "
-             "swaps in the flat twins (srr -> srr:fast) and profiles "
-             "the scalar datapath via the flight recorder",
-    )
-    parser.add_argument(
         "--flight", type=int, nargs="?", const=6, default=None,
         metavar="SHIFT",
         help="arm the process-wide flight recorder at 1-in-2^SHIFT "
@@ -308,16 +302,6 @@ def main(argv: List[str] = None) -> int:
         if unsupported and args.experiment != "all":
             raise ConfigurationError(
                 f"{flag} is not supported by {', '.join(unsupported)}"
-            )
-    if args.core is not None:
-        overrides = dict(overrides)
-        overrides["core"] = args.core
-        unsupported = [
-            n for n in names if "core" not in SPECS[n].param_names()
-        ]
-        if unsupported and args.experiment != "all":
-            raise ConfigurationError(
-                f"--core is not supported by {', '.join(unsupported)}"
             )
     if args.shards is not None:
         overrides = dict(overrides)

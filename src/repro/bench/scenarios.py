@@ -60,7 +60,6 @@ def slots_for_rate(rate_bps: float, capacity_slots: int, link_bps: float) -> int
 
 def _bottleneck_config(scheduler: str) -> Dict:
     """Per-scheduler kwargs for a 10 Mb/s bottleneck port."""
-    scheduler = _base_name(scheduler)
     capacity_units = BOTTLENECK_BPS // WEIGHT_UNIT_BPS  # 625
     if scheduler == "g3":
         return {"capacity": capacity_units}
@@ -71,14 +70,8 @@ def _bottleneck_config(scheduler: str) -> Dict:
     return {}
 
 
-def _base_name(scheduler: str) -> str:
-    """Strip a core suffix: ``"srr:fast"`` configures like ``"srr"``."""
-    return scheduler.partition(":")[0]
-
-
 def _flow_weight(scheduler: str, rate_bps: float, *, best_effort: bool) -> float:
     """Map a reserved rate to this scheduler's weight domain."""
-    scheduler = _base_name(scheduler)
     if scheduler in ("g3", "rrr"):
         if best_effort:
             return 0

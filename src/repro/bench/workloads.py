@@ -12,8 +12,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from ..core.interfaces import PacketScheduler
 from ..core.opcount import OpCounter
 from ..core.packet import Packet
-from ..obs.metrics import NULL_REGISTRY, OPS_BUCKETS, MetricsRegistry
-from ..obs.profile import DequeueProfiler, percentile
+from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
+from ..obs.profile import DequeueProfiler
 from ..schedulers.registry import create_scheduler
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "service_sequence",
     "ops_per_packet",
     "ops_profile",
-    "flight_profile",
     "geometric_weights",
     "uniform_weights",
 ]
@@ -113,84 +112,6 @@ def ops_profile(
     )
     profiler.pull(min(measure, n_flows * packets_per_flow))
     return profiler.summary()
-
-
-def flight_profile(
-    name: str,
-    n_flows: int,
-    *,
-    weights: Optional[Dict[Hashable, float]] = None,
-    packets_per_flow: int = 4,
-    measure: int = 2000,
-    registry: MetricsRegistry = NULL_REGISTRY,
-    label: Optional[str] = None,
-    **scheduler_kwargs,
-) -> Dict[str, float]:
-    """The E5 measurement on a flat core's *scalar* datapath.
-
-    :func:`ops_profile` drives ``dequeue()`` — which a fast scheduler
-    supports, but which is not the datapath the lean loop actually
-    runs. This twin loads the same saturated workload through
-    ``push`` and serves it through ``pull``, with an exhaustively
-    sampling :class:`~repro.obs.flight.FlightRecorder`
-    (``sample_shift=0``) capturing every per-pull op and WSS-term delta
-    — so the summary keys and values are directly comparable to the
-    object profile (the flat twins bump their op counters at the same
-    algorithmic steps). Also exports the :class:`FlowLanes` data-plane
-    counters and the same ``dequeue_ops``/``wss_terms`` histograms into
-    ``registry``, plus a ``"flight"`` sub-dict with the recorder's own
-    accounting.
-    """
-    from ..obs.flight import FlightRecorder
-
-    ops = OpCounter()
-    sched = create_scheduler(name, op_counter=ops, **scheduler_kwargs)
-    flow_weights = weights or uniform_weights(n_flows)
-    for fid, weight in flow_weights.items():
-        sched.add_flow(fid, weight)
-    for fid in flow_weights:
-        slot = sched.slot_of(fid)
-        for _ in range(packets_per_flow):
-            sched.push(slot, 200)
-    budget = min(measure, n_flows * packets_per_flow)
-    capacity = 1 << max(3, (budget - 1).bit_length())
-    recorder = FlightRecorder(capacity, sample_shift=0)
-    recorder.arm(sched)
-    pull = sched.pull  # the armed instrumented variant
-    served = 0
-    for _ in range(budget):
-        if pull() is None:
-            break
-        served += 1
-    scheduler_label = label or name
-    sched.observe_lanes(registry, scheduler=scheduler_label, n=n_flows)
-    deltas, scan_deltas = recorder.pull_deltas()
-    ops_hist = registry.histogram(
-        "dequeue_ops", OPS_BUCKETS, scheduler=scheduler_label, n=n_flows
-    )
-    for delta in deltas:
-        ops_hist.observe(delta)
-    deltas.sort()
-    out: Dict[str, float] = {
-        "served": served,
-        "total_ops": sum(deltas),
-        "mean_ops": sum(deltas) / len(deltas) if deltas else 0.0,
-        "p50_ops": percentile(deltas, 0.50),
-        "p90_ops": percentile(deltas, 0.90),
-        "p99_ops": percentile(deltas, 0.99),
-        "worst_ops": deltas[-1] if deltas else 0,
-        "flight": recorder.snapshot(),
-    }
-    if getattr(sched, "terms_scanned", None) is not None and scan_deltas:
-        scan_hist = registry.histogram(
-            "wss_terms", OPS_BUCKETS, scheduler=scheduler_label, n=n_flows
-        )
-        for delta in scan_deltas:
-            scan_hist.observe(delta)
-        scan_deltas.sort()
-        out["p99_scan_terms"] = percentile(scan_deltas, 0.99)
-        out["worst_scan_terms"] = scan_deltas[-1]
-    return out
 
 
 def ops_per_packet(

@@ -49,17 +49,11 @@ def check_seed(
     quick: bool = False,
     variant_names: Optional[Sequence[str]] = None,
     engine_check: bool = False,
-    core: str = "object",
     bounds: bool = False,
     bounds_engines: Sequence[str] = ("heap",),
 ) -> Dict[str, Any]:
     """Fuzz one seed across variants (module-level: sweep workers pickle
     it). Returns a JSON-able verdict record with a content digest.
-
-    ``core="fast"`` swaps every fast-capable variant onto its flat-core
-    twin while keeping variant names — the digest is over the *names* and
-    service orders, so a fast run of the corpus must produce the same
-    digest as an object run (the PR-blocking cross-core check).
 
     ``bounds=True`` adds the network-calculus certification family on
     the disciplines with a service curve, replayed under each engine in
@@ -79,11 +73,11 @@ def check_seed(
     tele = get_telemetry()
     for name in names:
         variant = variant_by_name(name)
-        run = run_scenario(variant, scenario, core=core)
+        run = run_scenario(variant, scenario)
         hasher.update(repr((seed, name, run.order_key())).encode())
         for v in check_scenario(variant, scenario, run=run,
                                 families=families,
-                                engine_check=engine_check, core=core,
+                                engine_check=engine_check,
                                 bounds_engines=tuple(bounds_engines)):
             violations.append(v.to_json_dict())
         if tele is not None:
@@ -115,7 +109,6 @@ def _fail_and_shrink(
     results_dir: Path,
     quiet: bool,
     shrunk_signatures: set,
-    core: str = "object",
 ) -> List[Path]:
     """Shrink each failing variant of one seed; write repro artifacts."""
     seed = record["seed"]
@@ -124,7 +117,7 @@ def _fail_and_shrink(
     failing_variants = sorted({v["variant"] for v in record["violations"]})
     for name in failing_variants:
         variant = variant_by_name(name)
-        violations = check_scenario(variant, scenario, core=core)
+        violations = check_scenario(variant, scenario)
         if not violations:
             continue  # only tripped the engine oracle; keep full scenario
         signature = _failure_signature(name, violations)
@@ -164,11 +157,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--variants", default=None,
                         help="comma-separated variant subset "
                              "(default: all)")
-    parser.add_argument("--core", choices=("object", "fast"),
-                        default="object",
-                        help="scheduler core to drive: the reference "
-                             "object core or the flat fastpath twins "
-                             "(same variant names, comparable digests)")
     parser.add_argument("--engine-every", type=int, default=10,
                         help="run the heap-vs-calendar engine oracle on "
                              "every Nth seed (0 disables; default 10)")
@@ -241,7 +229,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.quick,
             variant_names,
             bool(args.engine_every) and i % args.engine_every == 0,
-            args.core,
             args.bounds,
             bounds_engines,
         )
@@ -264,7 +251,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         telemetry = get_telemetry()
         telemetry.frame(
             "run_start", mode="conformance", seeds=len(seeds),
-            core=args.core, total=len(tasks),
+            total=len(tasks),
         )
     try:
         records = sweep(check_seed, tasks, jobs=args.jobs)
@@ -293,13 +280,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             artifacts.extend(
                 _fail_and_shrink(record, args.quick, results_dir,
                                  args.quiet or args.json,
-                                 shrunk_signatures, core=args.core)
+                                 shrunk_signatures)
             )
     n_violations = sum(len(r["violations"]) for r in records)
     summary = {
         "seeds": len(seeds),
         "quick": args.quick,
-        "core": args.core,
         "bounds": bool(args.bounds),
         "bounds_engines": list(bounds_engines) if args.bounds else [],
         "variants": variant_names or [v.name for v in VARIANTS()],

@@ -389,7 +389,6 @@ def check_metamorphic(
     run: ScenarioRun,
     *,
     op_budget: int = OP_BUDGET,
-    core: str = "object",
 ) -> List[Violation]:
     if run.livelock_at is not None:
         return []  # conservation already failed; replays would too
@@ -398,7 +397,7 @@ def check_metamorphic(
     # Relabeling: flow identity must be opaque — the service order over
     # flow *indices* must be bit-identical.
     relabel_run = run_scenario(variant, _relabeled(scenario),
-                               op_budget=op_budget, core=core)
+                               op_budget=op_budget)
     if relabel_run.order_key() != run.order_key():
         diverge = _first_divergence(run, relabel_run)
         out.append(Violation(
@@ -413,8 +412,7 @@ def check_metamorphic(
     # Uniform weight doubling.
     scaled = _scaled(scenario)
     if max(f.weight for f in scenario.flows) * 2 <= 1 << 62:
-        scaled_run = run_scenario(variant, scaled, op_budget=op_budget,
-                                  core=core)
+        scaled_run = run_scenario(variant, scaled, op_budget=op_budget)
         if variant.name in _SCALE_EXACT:
             if scaled_run.order_key() != run.order_key():
                 diverge = _first_divergence(run, scaled_run)
@@ -474,7 +472,7 @@ def _first_divergence(a: ScenarioRun, b: ScenarioRun) -> int:
 # -- engine (heap vs calendar) replay ---------------------------------------
 
 def check_engine_equivalence(
-    variant: Variant, scenario: Scenario, core: str = "object"
+    variant: Variant, scenario: Scenario
 ) -> List[Violation]:
     """Replay a derived network scenario under both event-queue backends.
 
@@ -494,7 +492,7 @@ def check_engine_equivalence(
     records = []
     for engine in ("heap", "calendar"):
         try:
-            records.append(_engine_run(variant, scenario, engine, core))
+            records.append(_engine_run(variant, scenario, engine))
         except LivelockError:
             return [Violation(
                 "metamorphic",
@@ -520,11 +518,11 @@ def check_engine_equivalence(
 
 
 def _engine_run(
-    variant: Variant, scenario: Scenario, engine: str, core: str = "object"
+    variant: Variant, scenario: Scenario, engine: str
 ) -> List[Tuple]:
     from ..net.scenario import Network
     from ..net.sources import CBRSource
-    from .runner import _BudgetedOpCounter, resolve_scheduler
+    from .runner import _BudgetedOpCounter
 
     link_bps = 2_000_000.0
     kwargs = dict(variant.kwargs)
@@ -534,7 +532,7 @@ def _engine_run(
     # with the floored weights below stay well under 10^5 ops total.
     kwargs["op_counter"] = _BudgetedOpCounter(2_000_000)
     net = Network(
-        default_scheduler=resolve_scheduler(variant.scheduler, core),
+        default_scheduler=variant.scheduler,
         default_scheduler_kwargs=kwargs,
         engine=engine,
     )
@@ -594,7 +592,6 @@ def bounds_certification_run(
     flow_weights: Sequence[Tuple[Any, float]],
     *,
     engine: str = "heap",
-    core: str = "object",
     link_bps: float = _BOUNDS_LINK_BPS,
     prop_delay_s: float = _BOUNDS_PROP_DELAY_S,
     packet_size: int = 250,
@@ -621,7 +618,7 @@ def bounds_certification_run(
     from ..analysis.netcalc import TokenBucket, delay_bound, service_curve
     from ..net.scenario import Network
     from ..net.sources import CBRSource
-    from .runner import _BudgetedOpCounter, resolve_scheduler
+    from .runner import _BudgetedOpCounter
 
     if not flow_weights:
         raise ConfigurationError("need at least one flow to certify")
@@ -631,7 +628,7 @@ def bounds_certification_run(
     if discipline in ("drr", "srr"):
         kwargs["quantum"] = quantum
     net = Network(
-        default_scheduler=resolve_scheduler(discipline, core),
+        default_scheduler=discipline,
         default_scheduler_kwargs=kwargs,
         engine=engine,
     )
@@ -691,7 +688,6 @@ def check_bounds(
     variant: Variant,
     scenario: Scenario,
     *,
-    core: str = "object",
     engine: str = "heap",
 ) -> List[Violation]:
     """Certify observed delays against network-calculus bounds.
@@ -722,7 +718,7 @@ def check_bounds(
     flow_weights = [(f.flow_id, bounds_weight(f)) for f in flows]
     try:
         records = bounds_certification_run(
-            variant.scheduler, flow_weights, engine=engine, core=core,
+            variant.scheduler, flow_weights, engine=engine,
             quantum=scenario.quantum,
         )
     except LivelockError:
@@ -776,7 +772,6 @@ def check_scenario(
     engine_check: bool = False,
     run: Optional[ScenarioRun] = None,
     op_budget: int = OP_BUDGET,
-    core: str = "object",
     bounds_engines: Sequence[str] = ("heap",),
 ) -> List[Violation]:
     """Run one scenario through one variant and every requested oracle.
@@ -789,7 +784,7 @@ def check_scenario(
     (when requested) replays the certification network under.
     """
     if run is None:
-        run = run_scenario(variant, scenario, op_budget=op_budget, core=core)
+        run = run_scenario(variant, scenario, op_budget=op_budget)
     out: List[Violation] = []
     if "conservation" in families:
         out.extend(check_conservation(variant, scenario, run))
@@ -797,14 +792,13 @@ def check_scenario(
         out.extend(check_fluid_lag(variant, scenario, run))
     if "metamorphic" in families:
         out.extend(check_metamorphic(variant, scenario, run,
-                                     op_budget=op_budget, core=core))
+                                     op_budget=op_budget))
         # Engine replay only on otherwise-clean runs: a scheduler the
         # other oracles already condemned makes backend comparison moot
         # (and a livelocked one would burn the engine backstop budget).
         if engine_check and not out:
-            out.extend(check_engine_equivalence(variant, scenario, core))
+            out.extend(check_engine_equivalence(variant, scenario))
     if "bounds" in families and run.livelock_at is None:
         for engine in bounds_engines:
-            out.extend(check_bounds(variant, scenario, core=core,
-                                    engine=engine))
+            out.extend(check_bounds(variant, scenario, engine=engine))
     return out

@@ -24,11 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import ReproError
 from ..core.opcount import OpCounter
-from ..schedulers import (
-    available_schedulers,
-    create_scheduler,
-    resolve_scheduler,
-)
+from ..schedulers import available_schedulers, create_scheduler
 from ..core.packet import Packet
 from .scenario import Scenario
 
@@ -36,7 +32,6 @@ __all__ = [
     "Variant",
     "VARIANTS",
     "variant_by_name",
-    "resolve_scheduler",
     "LivelockError",
     "Departure",
     "ScenarioRun",
@@ -117,11 +112,6 @@ def _build_variants() -> Tuple[Variant, ...]:
             fractional=name in fractional,
         )
         for name in available_schedulers()
-        # The flat-core twins are not separate variants: the same variant
-        # list is replayed with core="fast" (``--core fast``), keeping
-        # variant *names* — and therefore verdict digests — comparable
-        # across cores.
-        if not name.endswith(":fast")
     ]
     variants.append(
         Variant(name="srr:deficit", scheduler="srr",
@@ -196,17 +186,11 @@ class ScenarioRun:
         return tuple((d.flow_index, d.size) for d in self.departures)
 
 
-# resolve_scheduler now lives beside the registry it maps over
-# (repro.schedulers.registry) and is re-imported above: conformance
-# callers and repro artifacts keep referencing it from this module.
-
-
 def run_scenario(
     variant: Variant,
     scenario: Scenario,
     *,
     op_budget: int = OP_BUDGET,
-    core: str = "object",
 ) -> ScenarioRun:
     """Execute ``scenario`` on ``variant``; never raises on scheduler
     misbehaviour — watchdog trips and conservation breaches are recorded
@@ -216,7 +200,7 @@ def run_scenario(
     if variant.scheduler in ("drr", "srr"):
         quantum_kwargs["quantum"] = scenario.quantum
     sched = create_scheduler(
-        resolve_scheduler(variant.scheduler, core),
+        variant.scheduler,
         op_counter=ops_counter,
         **dict(variant.kwargs),
         **quantum_kwargs,

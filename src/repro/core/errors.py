@@ -114,7 +114,7 @@ class InvariantViolation(ReproError):
     named ``check`` that fired, the scheduler it fired on, a ``details``
     dict with the offending values, and — when a tracer or flight
     recorder was active — the ``trace_window`` of packet events and/or
-    ``flight_window`` of sampled fastpath records leading up to the
+    ``flight_window`` of sampled scheduler records leading up to the
     violation.
     """
 

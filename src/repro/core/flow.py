@@ -5,6 +5,11 @@ queue, its per-column linkage into the SRR :class:`~repro.core.weight_matrix.Wei
 (intrusive doubly-linked list nodes, one per set bit of the weight), the
 deficit counter used by the variable-packet-size service mode, and running
 service statistics consumed by the fairness analyses.
+
+The queue holds :class:`~repro.core.packet.Packet` objects on the
+``enqueue``/``dequeue`` lane and ``(slot, size, ref)`` tuples on the
+scalar lane (:mod:`repro.core.lane`); :attr:`FlowState.backlog_bytes`
+reads either.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Deque, Dict, Hashable, Optional
 from .errors import InvalidWeightError
 from .packet import Packet
 
-__all__ = ["ColumnNode", "FlowState", "check_weight"]
+__all__ = ["ColumnNode", "FlowState", "check_weight", "column_nodes"]
 
 
 #: Largest weight accepted anywhere in the library. 2^62 keeps every
@@ -78,6 +83,9 @@ class FlowState:
             ``packet`` mode).
         packets_sent / bytes_sent: Cumulative service counters.
         packets_dropped: Count of arrivals rejected by the queue limit.
+        slot: The flow's index in its scheduler's slot table (``-1``
+            until a :class:`~repro.core.interfaces.FlowTableScheduler`
+            registers it).
     """
 
     __slots__ = (
@@ -90,10 +98,11 @@ class FlowState:
         "bytes_sent",
         "packets_dropped",
         "max_queue",
+        "slot",
         # Timestamp-scheduler scratch state (WFQ family): the virtual
-        # start/finish tag of the flow's most recently tagged packet, and
-        # the per-packet tag FIFO mirroring `queue`.
-        "start_tag",
+        # finish tag of the flow's most recently tagged packet, and the
+        # per-packet tag FIFO mirroring `queue` (WF2Q+ only; that
+        # scheduler allocates it when the flow is added).
         "finish_tag",
         "tags",
     )
@@ -109,9 +118,7 @@ class FlowState:
         self.flow_id = flow_id
         if integer_weight:
             self.weight: float = check_weight(weight)  # type: ignore[arg-type]
-            nodes = {
-                bit: ColumnNode(self, bit) for bit in iter_set_bits(int(weight))
-            }
+            nodes = column_nodes(self, weight)
         else:
             # Timestamp-based baselines (WFQ family) take real-valued
             # weights and never use the column linkage.
@@ -124,9 +131,8 @@ class FlowState:
         self.bytes_sent = 0
         self.packets_dropped = 0
         self.max_queue = max_queue
-        self.start_tag = 0.0
+        self.slot = -1
         self.finish_tag = 0.0
-        self.tags: Deque = deque()
 
     @property
     def backlogged(self) -> bool:
@@ -135,8 +141,11 @@ class FlowState:
 
     @property
     def backlog_bytes(self) -> int:
-        """Total queued bytes."""
-        return sum(p.size for p in self.queue)
+        """Total queued bytes (packets and scalar-lane items alike)."""
+        return sum(
+            item[1] if type(item) is tuple else item.size
+            for item in self.queue
+        )
 
     @property
     def in_matrix(self) -> bool:
@@ -169,6 +178,17 @@ class FlowState:
             f"FlowState(id={self.flow_id!r}, weight={self.weight}, "
             f"queued={len(self.queue)}, sent={self.packets_sent})"
         )
+
+
+def column_nodes(flow: FlowState, weight: int) -> Dict[int, ColumnNode]:
+    """One unlinked :class:`ColumnNode` per set bit of ``weight``."""
+    nodes = {}
+    while weight:
+        low = weight & -weight
+        bit = low.bit_length() - 1
+        nodes[bit] = ColumnNode(flow, bit)
+        weight ^= low
+    return nodes
 
 
 def iter_set_bits(value: int):

@@ -15,7 +15,7 @@ subclasses only implement the actual service discipline.
 from __future__ import annotations
 
 import abc
-from typing import ClassVar, Dict, Hashable, Iterable, Optional
+from typing import ClassVar, Dict, Hashable, Iterable, List, Optional
 
 from .errors import (
     ConfigurationError,
@@ -23,7 +23,7 @@ from .errors import (
     InvalidWeightError,
     UnknownFlowError,
 )
-from .flow import ColumnNode, FlowState, check_weight, iter_set_bits
+from .flow import FlowState, check_weight, column_nodes
 from .opcount import NULL_COUNTER, OpCounter
 from .packet import Packet
 
@@ -109,7 +109,10 @@ class FlowTableScheduler(PacketScheduler):
 
     The base class validates weights according to
     ``requires_integer_weights`` and keeps ``backlog``/``backlog_bytes``
-    exact, including on drops and flow removal.
+    exact, including on drops and flow removal. It also gives every
+    registered flow a small integer **slot** (:meth:`slot_of`; freed
+    slots are reused), the flow handle of the scalar ``push``/``pull``
+    lane that SRR and DRR carry (:mod:`repro.core.lane`).
 
     Disciplines whose flow hookup is fully captured by the three hooks
     (SRR, DRR) additionally support **in-place reweighting**
@@ -124,6 +127,9 @@ class FlowTableScheduler(PacketScheduler):
 
     def __init__(self, *, op_counter: OpCounter = NULL_COUNTER) -> None:
         self._flows: Dict[Hashable, FlowState] = {}
+        #: Slot -> registered flow (``None`` while the slot is free).
+        self._slots: List[Optional[FlowState]] = []
+        self._free_slots: List[int] = []
         self._backlog_packets = 0
         self._backlog_bytes = 0
         self._ops = op_counter
@@ -152,6 +158,13 @@ class FlowTableScheduler(PacketScheduler):
         )
         self._flows[flow_id] = flow
         self._on_flow_added(flow)
+        free = self._free_slots
+        if free:
+            flow.slot = slot = free.pop()
+            self._slots[slot] = flow
+        else:
+            flow.slot = len(self._slots)
+            self._slots.append(flow)
 
     def remove_flow(self, flow_id: Hashable) -> int:
         flow = self._lookup(flow_id)
@@ -160,7 +173,7 @@ class FlowTableScheduler(PacketScheduler):
         self._backlog_packets -= dropped
         self._backlog_bytes -= flow.backlog_bytes
         flow.queue.clear()
-        del self._flows[flow_id]
+        self._forget(flow)
         return dropped
 
     def has_flow(self, flow_id: Hashable) -> bool:
@@ -172,6 +185,10 @@ class FlowTableScheduler(PacketScheduler):
     def flow_state(self, flow_id: Hashable) -> FlowState:
         """The :class:`FlowState` record for ``flow_id`` (read-mostly)."""
         return self._lookup(flow_id)
+
+    def slot_of(self, flow_id: Hashable) -> int:
+        """The flow's slot: its handle on the scalar lane."""
+        return self._lookup(flow_id).slot
 
     @property
     def flow_count(self) -> int:
@@ -213,10 +230,7 @@ class FlowTableScheduler(PacketScheduler):
         try:
             if self.requires_integer_weights:
                 flow.weight = check_weight(weight)  # type: ignore[arg-type]
-                flow.nodes = {
-                    bit: ColumnNode(flow, bit)
-                    for bit in iter_set_bits(int(weight))
-                }
+                flow.nodes = column_nodes(flow, weight)
             else:
                 flow.weight = float(weight)
             self._on_flow_added(flow)
@@ -266,6 +280,12 @@ class FlowTableScheduler(PacketScheduler):
         """Hook: ``flow`` transitioned empty -> backlogged (default: nothing)."""
 
     # -- helpers -----------------------------------------------------------
+
+    def _forget(self, flow: FlowState) -> None:
+        """Drop ``flow`` from the flow table and free its slot."""
+        del self._flows[flow.flow_id]
+        self._slots[flow.slot] = None
+        self._free_slots.append(flow.slot)
 
     def _lookup(self, flow_id: Hashable) -> FlowState:
         try:

@@ -59,6 +59,14 @@ implementation restarts the WSS scan at the beginning of the new sequence,
 which perturbs fairness for at most one round; the prefix property of the
 WSS (``WSS^(k-1)`` is a prefix of ``WSS^k``) keeps the perturbation small
 in practice. The policy is ablated in E9.
+
+Lanes
+-----
+``enqueue``/``dequeue`` move :class:`~repro.core.packet.Packet` objects;
+the scalar lane (``push``/``pull``/``pull_batch``, :mod:`repro.core.lane`)
+moves ``(slot, size, ref)`` tuples through the same weight matrix and
+WSS scan. In packet mode :meth:`SRRScheduler.pull_batch` serves runs of
+a WSS column visit in one fused loop.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from typing import ClassVar, Hashable, List, Optional
 from .errors import ConfigurationError
 from .flow import ColumnNode, FlowState
 from .interfaces import FlowTableScheduler
+from .lane import Item, ScalarLane
 from .opcount import NULL_COUNTER, OpCounter
 from .packet import Packet
 from .weight_matrix import WeightMatrix
@@ -75,7 +84,7 @@ from .weight_matrix import WeightMatrix
 __all__ = ["SRRScheduler"]
 
 
-class SRRScheduler(FlowTableScheduler):
+class SRRScheduler(ScalarLane, FlowTableScheduler):
     """Smoothed Round Robin (Guo, SIGCOMM 2001 / ToN 2004).
 
     Args:
@@ -236,6 +245,106 @@ class SRRScheduler(FlowTableScheduler):
         elif flow.head_size() <= flow.deficit:
             self._stuck = flow
         return self._account_departure(packet)
+
+    # -- scalar lane -------------------------------------------------------
+    #
+    # The dequeue paths above, with (slot, size, ref) tuples in place of
+    # packets: same op bumps, same unlink and credit rules.
+
+    def pull(self) -> Optional[Item]:
+        """Serve the next packet in O(1) as ``(slot, size, ref)``."""
+        if self.mode != "packet":
+            return self._pull_deficit_mode()
+        ops = self._ops
+        while True:
+            node = self._cursor
+            if node is not None and node.flow is not None:
+                flow = node.flow
+                self._cursor = node.next
+                ops.bump()
+                queue = flow.queue
+                item = queue.popleft()
+                size = item[1]
+                flow.packets_sent += 1
+                flow.bytes_sent += size
+                if not queue:
+                    self._unlink(flow)
+                self._backlog_packets -= 1
+                self._backlog_bytes -= size
+                return item
+            if not self._advance_term():
+                return None
+
+    def _pull_deficit_mode(self) -> Optional[Item]:
+        ops = self._ops
+        stuck = self._stuck
+        if stuck is not None:
+            self._stuck = None
+            if stuck.queue and stuck.queue[0][1] <= stuck.deficit:
+                return self._pull_with_deficit(stuck)
+        while True:
+            node = self._cursor
+            if node is not None and node.flow is not None:
+                flow = node.flow
+                self._cursor = node.next
+                ops.bump()
+                flow.deficit += self.quantum
+                if flow.queue[0][1] <= flow.deficit:
+                    return self._pull_with_deficit(flow)
+                continue
+            if not self._advance_term():
+                return None
+
+    def _pull_with_deficit(self, flow: FlowState) -> Item:
+        queue = flow.queue
+        item = queue.popleft()
+        size = item[1]
+        flow.packets_sent += 1
+        flow.bytes_sent += size
+        flow.deficit -= size
+        if not queue:
+            flow.deficit = 0
+            self._unlink(flow)
+        elif queue[0][1] <= flow.deficit:
+            self._stuck = flow
+        self._backlog_packets -= 1
+        self._backlog_bytes -= size
+        return item
+
+    def pull_batch(self, budget: int) -> List[Item]:
+        """Serve up to ``budget`` packets, exactly as ``budget`` pulls.
+
+        Packet mode runs one fused loop: within a WSS column visit each
+        packet costs a few attribute loads, not a Python call.
+        """
+        if self.mode != "packet":
+            return ScalarLane.pull_batch(self, budget)
+        out: List[Item] = []
+        append = out.append
+        bump = self._ops.bump
+        advance = self._advance_term
+        unlink = self._unlink
+        served_bytes = 0
+        while len(out) < budget:
+            node = self._cursor
+            if node is not None and node.flow is not None:
+                flow = node.flow
+                self._cursor = node.next
+                bump()
+                queue = flow.queue
+                item = queue.popleft()
+                size = item[1]
+                flow.packets_sent += 1
+                flow.bytes_sent += size
+                if not queue:
+                    unlink(flow)
+                served_bytes += size
+                append(item)
+            elif not advance():
+                break
+        self._backlog_packets -= len(out)
+        self._backlog_bytes -= served_bytes
+        return out
 
     def _advance_term(self) -> bool:
         """Advance to the next WSS term and point the cursor at its column.

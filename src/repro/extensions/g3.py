@@ -143,7 +143,7 @@ class G3Scheduler(FlowTableScheduler):
         try:
             self._blocks[flow_id] = self._allocate_weight(flow_id, weight)
         except AdmissionError:
-            del self._flows[flow_id]
+            self._forget(flow)
             raise
 
     def _allocate_weight(

@@ -105,7 +105,7 @@ class RRRScheduler(FlowTableScheduler):
         except AdmissionError:
             for offset, e in blocks:
                 self.tree.free(offset, e)
-            del self._flows[flow_id]
+            self._forget(flow)
             raise
         self._blocks[flow_id] = blocks
 

@@ -1,69 +1,21 @@
-"""Flat array-of-struct scheduler cores (the dequeue fastpath).
+"""The lean bottleneck replay (:mod:`repro.fastpath.netloop`).
 
-Everything in this package re-implements existing disciplines on flat
-per-flow columns (:mod:`repro.fastpath.state`) instead of per-flow /
-per-packet heap objects:
-
-========================  =============================================
-``repro.fastpath.state``  :class:`FlowLanes` SoA columns + ring FIFOs
-``repro.fastpath.base``   :class:`FastScheduler` (flow table, datapaths)
-``repro.fastpath.srr``    ``srr:fast`` — SRR, flat weight matrix + WSS
-``repro.fastpath.roundrobin``  ``drr:fast`` / ``wrr:fast`` / ``iwrr:fast`` / ``rr:fast``
-``repro.fastpath.netloop``     lean object-free bottleneck simulation
-========================  =============================================
-
-The fast cores are drop-in :class:`~repro.core.interfaces.PacketScheduler`
-implementations — ``create_scheduler("srr:fast")`` works anywhere the
-object core's name does, including inside :class:`~repro.net.scenario.Network`
-— and are held bit-identical to their object twins by the differential
-conformance corpus (``python -m repro.conformance --core fast``). The
-object core remains the reference implementation; see ``docs/fastpath.md``
-for the layout, core-selection guidance, and PyPy notes.
+The replay runs on the scalar ``push``/``pull`` lane
+(:mod:`repro.core.lane`) of the reference scheduler cores; see
+``docs/fastpath.md``.
 """
 
 from __future__ import annotations
 
-from .base import FastScheduler
-from .roundrobin import (
-    FastDRRScheduler,
-    FastIWRRScheduler,
-    FastRRScheduler,
-    FastWRRScheduler,
-)
-from .srr import FastSRRScheduler
-from .state import FlowLanes, FlowView
+from ..core.srr import SRRScheduler
+from ..schedulers.drr import DRRScheduler
 
-__all__ = [
-    "FastScheduler",
-    "FlowLanes",
-    "FlowView",
-    "FastSRRScheduler",
-    "FastDRRScheduler",
-    "FastIWRRScheduler",
-    "FastWRRScheduler",
-    "FastRRScheduler",
-    "FAST_CORES",
-    "register_fastpath_schedulers",
-]
+__all__ = ["FAST_CORES"]
 
-#: Object-core name -> fast twin. The conformance ``--core fast`` switch
-#: and the benchmark harness both key off this mapping.
+#: Discipline name -> the scheduler class carrying the scalar lane.
+#: :func:`repro.fastpath.netloop.run_single_bottleneck_fast` accepts
+#: exactly these names.
 FAST_CORES = {
-    "srr": FastSRRScheduler,
-    "drr": FastDRRScheduler,
-    "wrr": FastWRRScheduler,
-    "iwrr": FastIWRRScheduler,
-    "rr": FastRRScheduler,
+    "srr": SRRScheduler,
+    "drr": DRRScheduler,
 }
-
-
-def register_fastpath_schedulers() -> None:
-    """Register the ``<name>:fast`` factories (idempotent).
-
-    Called lazily by :func:`repro.schedulers.registry.create_scheduler`,
-    mirroring how the extensions package self-registers.
-    """
-    from ..schedulers.registry import register_scheduler
-
-    for cls in FAST_CORES.values():
-        register_scheduler(cls.name, cls)

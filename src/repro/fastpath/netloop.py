@@ -13,13 +13,13 @@ to two exact tandem-queue recurrences:
 * **access FIFO** (``src -> R``): arrivals in merged CBR-grid order;
   ``start = max(arrival, prev_finish)``; finish = start + ser_a; the
   packet reaches the bottleneck at finish + prop_a.
-* **bottleneck port** (``R -> dst``): the flat-core scheduler under
-  test, serving back-to-back — each serialization completion pulls the
-  next packet at that instant. Between consecutive arrivals the loop
-  serves whole batches through
-  :meth:`~repro.fastpath.base.FastScheduler.pull_batch` (the WSS
-  column-visit batching), so the per-packet Python overhead is a few
-  list operations, with no Event or Packet objects anywhere.
+* **bottleneck port** (``R -> dst``): the SRR or DRR scheduler under
+  test on its scalar lane (:mod:`repro.core.lane`), serving
+  back-to-back — each serialization completion pulls the next packet at
+  that instant. Between consecutive arrivals the loop serves whole
+  batches through ``pull_batch`` (SRR fuses a WSS column visit into one
+  loop), so the per-packet Python overhead is a few list operations,
+  with no Event or Packet objects anywhere.
 
 Emission times use the same ``n * interval`` float grid as
 :class:`~repro.net.sources.CBRSource` and the run-window cutoffs mirror
@@ -30,8 +30,9 @@ faithful: per-flow delivered packet and byte counts match the generic
 match up to event tie-breaking at identical timestamps (asserted by
 ``tests/fastpath/test_netloop.py``).
 
-This module is the benchmark backend for the ``>= 3x`` end-to-end
-fastpath claim in ``BENCH_runtime.json``; it is not a general simulator.
+This module backs the ``e2e_srr_bottleneck[fastpath-n256]`` bench of
+``python -m repro.perf`` and perfbench's ``lean-n512`` workload; it is
+not a general simulator.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ..core.errors import ConfigurationError
 from ..obs.flight import KIND_PULL, KIND_PUSH
 from ..obs.trace import get_tracer
 from ..schedulers.registry import create_scheduler
-from .base import FastScheduler
+from . import FAST_CORES
 
 __all__ = ["BottleneckRun", "run_single_bottleneck_fast"]
 
@@ -98,7 +99,7 @@ def run_single_bottleneck_fast(
     n_flows: int,
     until: float,
     *,
-    scheduler: str = "srr:fast",
+    scheduler: str = "srr",
     tagged_rate_bps: float = 32_000,
     background_rate_bps: float = 16_000,
     link_bps: float = 10_000_000,
@@ -109,9 +110,15 @@ def run_single_bottleneck_fast(
 
     Defaults mirror :func:`~repro.bench.scenarios.single_bottleneck_network`
     exactly (same rates, weights, link speeds, delays and overdrive).
-    ``scheduler`` must resolve to a flat-core discipline — the loop runs
-    entirely on the scalar ``push``/``pull_batch`` datapath.
+    ``scheduler`` must name a discipline with the scalar lane
+    (:data:`~repro.fastpath.FAST_CORES`: ``"srr"`` or ``"drr"``); the
+    loop runs entirely on ``push``/``pull``/``pull_batch``.
     """
+    if scheduler not in FAST_CORES:
+        raise ConfigurationError(
+            f"{scheduler!r} has no scalar push/pull lane; the lean loop "
+            f"runs on {sorted(FAST_CORES)}"
+        )
     reserved = tagged_rate_bps + n_flows * background_rate_bps
     if reserved > link_bps:
         raise ConfigurationError(
@@ -122,23 +129,13 @@ def run_single_bottleneck_fast(
         # a packet-lifecycle trace here could only ever be empty. Fail
         # loudly instead of silently producing no records.
         raise ConfigurationError(
-            "packet tracing is not available in the lean fastpath loop: "
-            "it has no per-hop events or Packet objects to trace. Run "
-            "the scenario on the object engine for full traces, or use "
-            "the flight recorder (repro.obs.flight / REPRO_FLIGHT) for "
-            "sampled scheduler-boundary records on the fast core"
+            "packet tracing is not available in the lean loop: it has no "
+            "per-hop events or Packet objects to trace. Run the scenario "
+            "on the event engine for full traces, or use the flight "
+            "recorder (repro.obs.flight / REPRO_FLIGHT) for sampled "
+            "scheduler records"
         )
-    quantum_kwargs = (
-        {"quantum": packet_size}
-        if scheduler.partition(":")[0] in ("drr", "srr")
-        else {}
-    )
-    sched = create_scheduler(scheduler, **quantum_kwargs)
-    if not isinstance(sched, FastScheduler):
-        raise ConfigurationError(
-            f"{scheduler!r} is not a flat-core scheduler; the lean loop "
-            "needs the scalar push/pull datapath"
-        )
+    sched = create_scheduler(scheduler, quantum=packet_size)
     unit = background_rate_bps  # the scenario's weight unit
     sched.add_flow("tag", max(1, round(tagged_rate_bps / unit)))
     for i in range(n_flows):
@@ -175,19 +172,18 @@ def run_single_bottleneck_fast(
     # rate. Sampled batch items carry *call-averaged* ops/terms deltas
     # (monitoring fidelity); single pulls stay on the twin wrapper and
     # keep exact per-dequeue deltas. Exhaustive mode (shift 0) keeps the
-    # fully instrumented twin paths, which E5's exact profiling depends
-    # on.
+    # fully instrumented twin paths, so every pull carries its exact
+    # ops/terms deltas.
     flight = sched._flight
     burst_sampling = flight is not None and flight.mask != 0
     if burst_sampling:
-        base_cls = type(sched)._flight_base or type(sched)
+        base_cls = type(sched)._flight_base
         push = base_cls.push.__get__(sched)
         bare_pull = base_cls.pull.__get__(sched)
         pull_batch = base_cls.pull_batch.__get__(sched)
         flight_mask = flight.mask
-        fast_ops = sched._ops
-        lanes = sched.lanes
-        q_count, lane_deficit = lanes.q_count, lanes.deficit
+        sched_ops = sched._ops
+        flows = sched._slots
     emitted = run.emitted
     delivered = run.delivered
     delivered_bytes = run.delivered_bytes
@@ -282,10 +278,10 @@ def run_single_bottleneck_fast(
                     if burst_sampling:
                         # Bare batch call; account all its pulls in one
                         # counter jump and record any items that landed
-                        # on a sampling point (lane state read
+                        # on a sampling point (flow state read
                         # post-batch, ops/terms averaged over the call
                         # — see docs/observability.md).
-                        ops0 = fast_ops.count
+                        ops0 = sched_ops.count
                         terms0 = getattr(sched, "terms_scanned", 0)
                         batch = pull_batch(k)
                         nb = len(batch)
@@ -294,17 +290,18 @@ def run_single_bottleneck_fast(
                             flight.n = n0 + nb
                             off = flight_mask - (n0 & flight_mask)
                             if off < nb:
-                                ops_avg = (fast_ops.count - ops0) // nb
+                                ops_avg = (sched_ops.count - ops0) // nb
                                 terms_avg = (
                                     getattr(sched, "terms_scanned", 0)
                                     - terms0
                                 ) // nb
                                 while off < nb:
                                     s, sz, _c = batch[off]
+                                    flow = flows[s]
                                     flight.record(
                                         KIND_PULL, s, sz, ops_avg,
-                                        terms_avg, lane_deficit[s],
-                                        q_count[s],
+                                        terms_avg, flow.deficit,
+                                        len(flow.queue),
                                     )
                                     off += flight_mask + 1
                     else:
@@ -350,7 +347,7 @@ def run_single_bottleneck_fast(
             # access FIFO preserves burst order and its finish times are
             # monotone, so skipped packets are always a suffix of
             # ``pending`` — the first ``pushed`` entries are exactly the
-            # packets pushed above, in order. Lane state is read
+            # packets pushed above, in order. Flow state is read
             # post-burst (documented in docs/observability.md).
             pushed = len(pending) - skipped
             if pushed:
@@ -359,9 +356,10 @@ def run_single_bottleneck_fast(
                 off = flight_mask - (n0 & flight_mask)
                 while off < pushed:
                     s = pending[off][0]
+                    flow = flows[s]
                     flight.record(
                         KIND_PUSH, s, packet_size, 0, 0,
-                        lane_deficit[s], q_count[s],
+                        flow.deficit, len(flow.queue),
                     )
                     off += flight_mask + 1
 

@@ -16,7 +16,7 @@ profile is bit-identical with guards off; a test asserts it).
 Violations raise a structured
 :class:`~repro.core.errors.InvariantViolation` carrying the failed check,
 the offending values, and — when a tracer or flight recorder is
-active — the window of trace events and/or sampled fastpath records
+active — the window of trace events and/or sampled scheduler records
 leading up to the corruption.
 
 Cost model: per-dequeue checks are O(1) comparisons; the structural
@@ -128,9 +128,9 @@ class InvariantGuard:
         window = []
         if self.tracer is not None:
             window = self.tracer.events()[-self.window:]
-        # Crash-dump the flight recorder too: on the fast core the trace
-        # window is usually empty, and the sampled operation records are
-        # the only view of what the datapath did before the corruption.
+        # Crash-dump the flight recorder too: on the scalar lane the
+        # trace window is empty, and the sampled operation records are
+        # the only view of what the scheduler did before the corruption.
         recorder = get_flight_recorder()
         flight_window = (
             recorder.window(self.window) if recorder is not None else []

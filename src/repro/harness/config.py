@@ -333,9 +333,8 @@ class RunContext:
         """Attach a flight-recorder summary to this run's obs artifact.
 
         Bodies that drain a :class:`~repro.obs.flight.FlightRecorder`
-        (fast-core E5 points, lean-loop scenarios) record the totals
-        here; ``repro.obs report`` renders the block alongside the
-        metrics families.
+        record the totals here; ``repro.obs report`` renders the block
+        alongside the metrics families.
         """
         self.flight = dict(block)
 

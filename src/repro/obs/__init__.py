@@ -15,9 +15,8 @@ free) when disabled:
   distributions, the empirical evidence behind the paper's O(1) claim
   (experiment E5's p50/p99/max columns).
 * :mod:`repro.obs.flight` — a zero-allocation sampling flight recorder
-  for the flat cores' scalar datapath, whose snapshot is the
-  ``obs.flight`` block (and, at ``sample_shift=0``, the fast core's
-  exact E5 evidence).
+  for both lanes of SRR and DRR, whose snapshot is the ``obs.flight``
+  block (at ``sample_shift=0`` it holds every operation's exact cost).
 * :mod:`repro.obs.telemetry` — per-run JSONL heartbeat frames from
   long-running workers, watched live by ``python -m repro.obs top``
   (:mod:`repro.obs.top`).

@@ -1,20 +1,15 @@
-"""A zero-allocation, sampling flight recorder for the flat cores.
+"""A zero-allocation, sampling flight recorder for SRR and DRR.
 
-The PR-2 observability layer (metrics registry, packet tracer, dequeue
-profiler) is built around the *object* datapath: it hangs off ``Packet``
-instances and per-dequeue method calls. The flat cores in
-:mod:`repro.fastpath` deliberately have neither — the scalar
-``push``/``pull`` datapath moves plain ints and floats — so until now
-the code that actually runs the hot path was invisible to every
-observability feature.
-
-The :class:`FlightRecorder` closes that gap without giving back the
-speed that made the fast core worth building:
+The metrics registry, packet tracer and dequeue profiler hang off
+``Packet`` instances and per-dequeue method calls. The scalar
+``push``/``pull`` lane of SRR and DRR (:mod:`repro.core.lane`) has no
+packets at all, so the :class:`FlightRecorder` observes both lanes of
+those two schedulers from inside, at almost no cost:
 
 * **Zero allocation while armed.** All storage is preallocated at
   construction: one Python list per record column (op kind, flow slot,
   packet size, elementary-op delta, WSS terms scanned, credit/deficit,
-  ring occupancy, sim-time delta), each ``capacity`` long, written
+  queue occupancy, sim-time delta), each ``capacity`` long, written
   in-place at ``index & (capacity - 1)``. Recording overwrites the
   oldest record once the ring wraps, exactly like
   :class:`~repro.obs.trace.Tracer`'s bounded deque but with no
@@ -25,19 +20,14 @@ speed that made the fast core worth building:
   where ``mask = 2**sample_shift - 1``. Armed overhead is therefore a
   counter bump plus one predictable branch per operation, and a masked
   store every ``2**sample_shift`` operations. ``sample_shift=0``
-  records everything (how E5 gets *exact* per-dequeue op counts);
-  the default shift of 6 (1-in-64) is what the perf gate budgets at
-  <= 3% on the end-to-end fastpath benchmark.
+  records everything (exact per-dequeue op counts); the default shift
+  of 6 (1-in-64) is what the perf gate budgets at <= 3% on the lean
+  bottleneck replay.
 
 * **Nothing at all when off.** Arming swaps the scheduler instance onto
-  a cached *armed twin* subclass whose ``push``/``pull``/``pull_batch``
-  carry the sampling code (:func:`repro.fastpath.base._flight_twin`);
-  the bare classes contain no recorder code whatsoever. The twin swap —
-  rather than shadowing methods in the instance ``__dict__`` — matters:
-  CPython materialises an instance dict that shadows methods, knocking
-  every ``self.x`` load on the armed instance off the shared-keys
-  inline-cache fast path (~40ns per access, measured), which dwarfed
-  the sampling itself.
+  a cached *armed twin* subclass whose lane methods carry the sampling
+  code (:func:`repro.core.lane.flight_twin`); the bare classes contain
+  no recorder code whatsoever.
 
 Recording is strictly *passive*: arming a recorder changes no service
 decision, which the conformance corpus digest check in CI enforces
@@ -87,7 +77,7 @@ DEFAULT_SAMPLE_SHIFT = 6
 
 
 class FlightRecorder:
-    """A preallocated ring of fixed-width fastpath operation records.
+    """A preallocated ring of fixed-width scheduler operation records.
 
     Args:
         capacity: Ring size in records; must be a power of two.
@@ -170,9 +160,8 @@ class FlightRecorder:
     def arm(self, sched: Any) -> None:
         """Attach this recorder to a scheduler's instrumentation hooks.
 
-        Delegates to the scheduler's ``_arm_flight`` so each scheduler
-        class can bind its cheapest instrumented variant (see
-        :meth:`repro.fastpath.base.FastScheduler._arm_flight`).
+        ``sched`` is an SRR or DRR scheduler; it moves onto its armed
+        twin class (:meth:`repro.core.lane.ScalarLane._arm_flight`).
         """
         sched._arm_flight(self)
 
@@ -183,10 +172,6 @@ class FlightRecorder:
         if base is not None:
             sched.__class__ = base
         sched.__dict__.pop("_flight", None)
-        # Tracer-era instance shadows, if a tracer was armed too.
-        sched.__dict__.pop("pull", None)
-        sched.__dict__.pop("pull_batch", None)
-        sched.__dict__.pop("_bare_pull", None)
 
     # -- draining -------------------------------------------------------------
 
@@ -235,9 +220,8 @@ class FlightRecorder:
         """(ops delta, WSS terms delta) of every held *pull* record.
 
         With ``sample_shift=0`` and enough capacity this is the exact
-        per-dequeue cost series the object core's
-        :class:`~repro.obs.profile.DequeueProfiler` measures — the fast
-        core's E5 evidence.
+        per-dequeue cost series
+        :class:`~repro.obs.profile.DequeueProfiler` measures.
         """
         ops_out: List[int] = []
         terms_out: List[int] = []
@@ -284,8 +268,8 @@ _env_ignored = False
 def get_flight_recorder() -> Optional[FlightRecorder]:
     """The process-wide recorder, or ``None`` when recording is off.
 
-    Consulted once per :class:`~repro.fastpath.base.FastScheduler`
-    construction — never on the per-packet path. If no recorder has been
+    Consulted once per SRR/DRR construction — never on the per-packet
+    path. If no recorder has been
     installed but ``REPRO_FLIGHT=<shift>`` is set (CI, sweep workers),
     one is created lazily with that sampling shift and the default
     capacity.

@@ -79,7 +79,7 @@ def render_flight(flight: Mapping[str, Any]) -> str:
     The counters line shows sampling coverage (operations seen vs
     records kept vs overwritten by ring wraparound); when the block
     carries a record window, per-kind ops/terms percentiles follow —
-    at ``sample_shift=0`` those are the fast core's exact E5 numbers.
+    at ``sample_shift=0`` those are exact per-operation costs.
     """
     rate = flight.get("sample_rate")
     if rate is None and "sample_shift" in flight:

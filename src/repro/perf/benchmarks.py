@@ -9,20 +9,18 @@ Four groups, each timing the layer above it:
     heap claim rests on.
 
 ``scheduler_dequeue``
-    Per-dequeue cost (packets/s) of saturated SRR/DRR/WFQ schedulers at
-    N ∈ {16, 512, 4096} flows, no simulator involved. The flat-core
-    twins (``srr:fast``/``drr:fast``) are timed on their scalar
-    ``push``/``pull`` datapath — same service order, no Packet objects.
+    Per-dequeue cost (packets/s) of saturated SRR/DRR/IWRR/WFQ
+    schedulers at N ∈ {16, 512, 4096} flows, no simulator involved.
 
 ``end_to_end``
     A full E5-scale network scenario (SRR bottleneck, hundreds of CBR
     flows) run under each backend — the number every experiment actually
     feels. A third entry replays the identical scenario through the
-    flat-core lean loop (:mod:`repro.fastpath.netloop`); its params
-    carry ``core: "fast"`` instead of an ``engine`` key because no
-    event queue is involved, and since its work items (packets
+    lean loop (:mod:`repro.fastpath.netloop`) on SRR's scalar lane; its
+    params carry ``core: "fast"`` instead of an ``engine`` key because
+    no event queue is involved, and since its work items (packets
     delivered) are not commensurable with the event-loop runs' events,
-    the fastpath-vs-object claim is compared on mean *round time*
+    the lean-vs-engine ratio is compared on mean *round time*
     (:func:`repro.perf.report.fastpath_speedup`), not throughput.
 
 ``shard_scaling``
@@ -52,7 +50,6 @@ from ..bench.workloads import build_loaded_scheduler, geometric_weights
 from ..fastpath.netloop import run_single_bottleneck_fast
 from ..net.engine import Simulator
 from ..net.eventq import ENGINE_ENV_VAR
-from ..schedulers.registry import create_scheduler
 
 __all__ = [
     "Benchmark",
@@ -170,34 +167,6 @@ def _dequeue_round(name: str, n_flows: int, pulls: int) -> Tuple[float, int]:
     return elapsed, pulls
 
 
-def _dequeue_fast_round(
-    name: str, n_flows: int, pulls: int
-) -> Tuple[float, int]:
-    """One flat-core round: time ``pulls`` scalar ``pull()`` calls.
-
-    Mirrors :func:`_dequeue_round` — same weight mix, same saturation —
-    but loads and serves through the object-free ``push``/``pull``
-    datapath, which is what the network lean loop actually drives.
-    """
-    per_flow = max(2, -(-pulls // n_flows))
-    kwargs = (
-        {"quantum": 200} if name.partition(":")[0] in ("srr", "drr") else {}
-    )
-    sched = create_scheduler(name, **kwargs)
-    for fid, weight in geometric_weights(n_flows).items():
-        sched.add_flow(fid, weight)
-    for fid in range(n_flows):
-        slot = sched.slot_of(fid)
-        for _ in range(per_flow):
-            sched.push(slot, 200)
-    pull = sched.pull
-    t0 = time.perf_counter()
-    for _ in range(pulls):
-        pull()
-    elapsed = time.perf_counter() - t0
-    return elapsed, pulls
-
-
 def _e2e_round(kind: str, n_flows: int, until: float) -> Tuple[float, int]:
     """One end-to-end round: build and run an SRR bottleneck scenario.
 
@@ -269,19 +238,6 @@ def all_benchmarks() -> List[Benchmark]:
                 rounds=3,
                 quick_rounds=1,
             ))
-    for sched in ("srr:fast", "drr:fast", "iwrr:fast"):
-        for n in _DEQUEUE_SIZES:
-            benches.append(Benchmark(
-                "scheduler_dequeue",
-                f"dequeue[{sched}-n{n}]",
-                {"scheduler": sched, "core": "fast", "n_flows": n,
-                 "pulls": _DEQUEUE_PULLS},
-                lambda sched=sched, n=n: _dequeue_fast_round(
-                    sched, n, _DEQUEUE_PULLS
-                ),
-                rounds=3,
-                quick_rounds=1,
-            ))
     for kind in _ENGINES:
         benches.append(Benchmark(
             "end_to_end",
@@ -322,8 +278,8 @@ def measure_obs_overhead(
     """Measure the armed flight-recorder cost on the hot benchmarks.
 
     For the event-loop hold model (whose hot loop must never consult the
-    recorder) and the end-to-end fastpath replay (whose scalar datapath
-    carries the sampling branches), each arm is timed in its own
+    recorder) and the end-to-end lean replay (whose scalar lane carries
+    the sampling branches), each arm is timed in its own
     *subprocess* — recorder-off children against children armed through
     ``REPRO_FLIGHT`` (so the gate also exercises the worker env
     activation path) — and the arms' per-child best rounds are
@@ -333,9 +289,9 @@ def measure_obs_overhead(
 
     Subprocess isolation is not ceremony. A real run is armed or off for
     its whole life, and the armed twin classes (see
-    :func:`repro.fastpath.base._flight_twin`) specialise exactly as well
+    :func:`repro.core.lane.flight_twin`) specialise exactly as well
     as the bare ones — but *alternating* arms inside one process makes
-    every shared code object (lane push/pop, op bumps, the netloop body)
+    every shared code object (lane push/pull, op bumps, the netloop body)
     flip between instance types, and CPython 3.11's adaptive interpreter
     de-specialises under the flip-flop: measured "overhead" was 5-45%
     depending on round order, all of it interpreter-cache thrash that no

@@ -141,7 +141,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"calendar vs heap [{group}]: {ratio:.2f}x", file=sys.stderr)
     for group, ratio in sorted(fastpath_speedup(doc).items()):
         print(
-            f"fastpath vs object [{group}]: {ratio:.2f}x",
+            f"lean replay vs event engine [{group}]: {ratio:.2f}x",
             file=sys.stderr,
         )
     for shards, ratio in sorted(shard_speedup(doc).items()):

@@ -131,14 +131,15 @@ def speedup_summary(doc: Dict[str, Any]) -> Dict[str, float]:
 
 
 def fastpath_speedup(doc: Dict[str, Any]) -> Dict[str, float]:
-    """Flat-core-vs-object speedups, per group, from one document.
+    """Lean-replay-vs-event-engine speedups, per group, from one document.
 
-    Compares *mean round times* (object over fastpath), not throughput:
-    the object benches count engine events as work items while the lean
-    loop counts packets, so their rates are not commensurable — but each
-    pair runs the semantically identical workload, so wall time is. The
-    object side is the calendar run (the faster engine, i.e. the
-    conservative denominator).
+    Compares *mean round times* (engine over lean replay), not
+    throughput: the engine benches count events as work items while the
+    lean loop counts packets, so their rates are not commensurable — but
+    each pair runs the semantically identical workload, so wall time is.
+    The engine side is the calendar run (the faster engine, i.e. the
+    conservative denominator); the lean side is the entry whose params
+    carry ``core: "fast"`` and no ``engine``.
     """
     objects: Dict[str, float] = {}
     fasts: Dict[str, float] = {}

@@ -18,7 +18,6 @@ from .registry import (
     available_schedulers,
     create_scheduler,
     register_scheduler,
-    resolve_scheduler,
 )
 from .rr import RoundRobinScheduler
 from .scfq import SCFQScheduler
@@ -43,5 +42,4 @@ __all__ = [
     "available_schedulers",
     "create_scheduler",
     "register_scheduler",
-    "resolve_scheduler",
 ]

@@ -36,7 +36,6 @@ __all__ = [
     "create_scheduler",
     "register_scheduler",
     "available_schedulers",
-    "resolve_scheduler",
 ]
 
 SchedulerFactory = Callable[..., PacketScheduler]
@@ -61,20 +60,13 @@ _extensions_loaded = False
 
 
 def _load_extensions() -> None:
-    """Import the lazily-registered scheduler packages once.
-
-    Extensions (rrr/g3) and the flat-core fastpath twins (``srr:fast``,
-    ``drr:fast``, ...) self-register on first registry use, keeping the
-    dependency direction clean.
-    """
+    """Import the lazily-registered extensions (rrr/g3) once; they
+    self-register, keeping the dependency direction clean."""
     global _extensions_loaded
     if _extensions_loaded:
         return
     _extensions_loaded = True
     import repro.extensions  # noqa: F401
-    from repro.fastpath import register_fastpath_schedulers
-
-    register_fastpath_schedulers()
 
 
 def register_scheduler(name: str, factory: SchedulerFactory) -> None:
@@ -101,20 +93,3 @@ def available_schedulers() -> List[str]:
     _load_extensions()
     return sorted(_REGISTRY)
 
-
-def resolve_scheduler(name: str, core: str = "object") -> str:
-    """Map a registry name to the requested core's implementation.
-
-    ``core="object"`` is the identity; ``core="fast"`` swaps in the flat
-    twin (``srr`` -> ``srr:fast``) where one exists and leaves every
-    other discipline on the object core — so a fast-core run covers the
-    identical discipline list under the identical input names. Shared by
-    the conformance harness and the bench CLI's ``--core`` flag.
-    """
-    if core == "object":
-        return name
-    if core != "fast":
-        raise ConfigurationError(f"unknown scheduler core {core!r}")
-    from repro.fastpath import FAST_CORES
-
-    return f"{name}:fast" if name in FAST_CORES else name

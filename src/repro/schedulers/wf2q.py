@@ -24,6 +24,7 @@ packet.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import ClassVar, Optional
 
 from ..core.flow import FlowState
@@ -50,6 +51,7 @@ class WF2QPlusScheduler(FlowTableScheduler):
 
     def _on_flow_added(self, flow: FlowState) -> None:
         self._total_weight += flow.weight
+        flow.tags = deque()
 
     def _on_flow_removed(self, flow: FlowState) -> None:
         # Heap entries for this flow go stale and are skipped lazily.

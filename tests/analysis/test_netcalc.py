@@ -157,13 +157,6 @@ class TestDisciplineCurves:
 
 
 class TestDispatcher:
-    def test_fast_suffix_is_stripped(self):
-        a = service_curve("iwrr", weight=2, weights=[2, 3],
-                          packet_size=250, link_rate_bps=2e6)
-        b = service_curve("iwrr:fast", weight=2, weights=[2, 3],
-                          packet_size=250, link_rate_bps=2e6)
-        assert a == b
-
     def test_unknown_discipline_raises(self):
         with pytest.raises(ConfigurationError):
             service_curve("wfq", weight=1, weights=[1],

@@ -1,11 +1,12 @@
-"""Differential object-vs-fast equivalence.
+"""The scalar lane against the packet lane of the same scheduler.
 
-Each flat-core scheduler must be *bit-identical* to its object twin:
-same accept/reject decisions, same service order (checked by packet
-uid, so FIFO identity within flows is covered too), same backlog
-accounting, same elementary-op counts, and — for SRR — the same number
-of WSS terms scanned. The randomized churn drives add/remove/re-add,
-queue limits, and both service modes.
+SRR and DRR serve ``push``/``pull`` (``(slot, size, ref)`` tuples) and
+``enqueue``/``dequeue`` (Packet objects) through one set of service
+structures. Driven with the same randomized churn, two instances — one
+per lane — must agree on every accept/reject decision, the service
+order, backlog accounting, per-flow credit and service counters,
+elementary-op counts and, for SRR, the number of WSS terms scanned.
+``pull_batch(k)`` must equal ``k`` pulls.
 """
 
 import random
@@ -19,37 +20,53 @@ from repro.schedulers.registry import create_scheduler
 WEIGHTS = [1, 2, 3, 5, 8, 13, 64]
 
 CONFIGS = [
-    pytest.param("srr", "srr:fast", {"quantum": 200}, id="srr-packet"),
+    pytest.param("srr", {"quantum": 200}, id="srr-packet"),
+    pytest.param("srr", {"mode": "deficit", "quantum": 200},
+                 id="srr-deficit"),
     pytest.param(
-        "srr", "srr:fast", {"mode": "deficit", "quantum": 200},
-        id="srr-deficit",
-    ),
-    pytest.param(
-        "srr", "srr:fast",
-        {"wss_storage": "materialized", "order_change": "continue"},
+        "srr", {"wss_storage": "materialized", "order_change": "continue"},
         id="srr-materialized-continue",
     ),
-    pytest.param("drr", "drr:fast", {"quantum": 200}, id="drr"),
-    pytest.param("wrr", "wrr:fast", {}, id="wrr"),
-    pytest.param("iwrr", "iwrr:fast", {}, id="iwrr"),
-    pytest.param("rr", "rr:fast", {}, id="rr"),
+    pytest.param("drr", {"quantum": 200}, id="drr"),
 ]
 
 
-def build_pair(obj_name, fast_name, kwargs):
-    obj_ops, fast_ops = OpCounter(), OpCounter()
-    obj = create_scheduler(obj_name, op_counter=obj_ops, **kwargs)
-    fast = create_scheduler(fast_name, op_counter=fast_ops, **kwargs)
-    return obj, fast, obj_ops, fast_ops
+def build_pair(name, kwargs):
+    """(packet-lane scheduler, scalar-lane scheduler, their op counters)."""
+    obj_ops, lane_ops = OpCounter(), OpCounter()
+    obj = create_scheduler(name, op_counter=obj_ops, **kwargs)
+    lane = create_scheduler(name, op_counter=lane_ops, **kwargs)
+    return obj, lane, obj_ops, lane_ops
 
 
-@pytest.mark.parametrize("obj_name,fast_name,kwargs", CONFIGS)
+def flow_stats(sched, flow_ids):
+    """Per-flow credit and service counters, by flow id."""
+    out = {}
+    for fid in flow_ids:
+        f = sched.flow_state(fid)
+        out[fid] = (f.deficit, f.packets_sent, f.bytes_sent,
+                    f.packets_dropped, len(f.queue))
+    return out
+
+
+def lane_pull(lane, fids):
+    """One scalar pull as ``(flow_id, size)`` (or None)."""
+    item = lane.pull()
+    if item is None:
+        return None
+    slot, size, ref = item
+    assert fids[slot] == ref[0], "pull returned another flow's item"
+    return ref[0], size
+
+
+@pytest.mark.parametrize("name,kwargs", CONFIGS)
 @pytest.mark.parametrize("seed", range(8))
-def test_randomized_churn_is_bit_identical(obj_name, fast_name, kwargs, seed):
+def test_randomized_churn_is_bit_identical(name, kwargs, seed):
     rng = random.Random(seed * 7919 + 13)
-    obj, fast, obj_ops, fast_ops = build_pair(obj_name, fast_name, kwargs)
+    obj, lane, obj_ops, lane_ops = build_pair(name, kwargs)
 
     flows = {}
+    fids = {}  # lane slot -> flow id (slots are recycled on removal)
     next_fid = 0
 
     def add_flow():
@@ -59,8 +76,9 @@ def test_randomized_churn_is_bit_identical(obj_name, fast_name, kwargs, seed):
         weight = rng.choice(WEIGHTS)
         limit = rng.choice([None, None, 4, 32])
         obj.add_flow(fid, weight, max_queue=limit)
-        fast.add_flow(fid, weight, max_queue=limit)
+        lane.add_flow(fid, weight, max_queue=limit)
         flows[fid] = weight
+        fids[lane.slot_of(fid)] = fid
 
     for _ in range(rng.randint(2, 5)):
         add_flow()
@@ -70,57 +88,58 @@ def test_randomized_churn_is_bit_identical(obj_name, fast_name, kwargs, seed):
         if r < 0.45 and flows:
             fid = rng.choice(sorted(flows))
             size = rng.randint(40, 1500)
-            # Twin Packet objects share nothing but must be judged alike.
             a = obj.enqueue(Packet(fid, size))
-            b = fast.enqueue(Packet(fid, size))
+            b = lane.push(lane.slot_of(fid), size, (fid, step))
             assert a == b, f"step {step}: accept mismatch"
         elif r < 0.85:
             p_obj = obj.dequeue()
-            p_fast = fast.dequeue()
+            got = lane_pull(lane, fids)
             if p_obj is None:
-                assert p_fast is None, f"step {step}: fast served extra"
+                assert got is None, f"step {step}: lane served extra"
             else:
-                assert p_fast is not None, f"step {step}: fast went idle"
-                assert (p_obj.flow_id, p_obj.size) == (
-                    p_fast.flow_id, p_fast.size,
-                ), f"step {step}: service order diverged"
+                assert got == (p_obj.flow_id, p_obj.size), (
+                    f"step {step}: service order diverged"
+                )
         elif r < 0.93 and len(flows) > 1:
             fid = rng.choice(sorted(flows))
-            assert obj.remove_flow(fid) == fast.remove_flow(fid)
+            assert obj.remove_flow(fid) == lane.remove_flow(fid)
             del flows[fid]
         else:
             add_flow()
-        assert obj.backlog == fast.backlog
-        assert obj.backlog_bytes == fast.backlog_bytes
+        assert obj.backlog == lane.backlog
+        assert obj.backlog_bytes == lane.backlog_bytes
+        assert flow_stats(obj, flows) == flow_stats(lane, flows), (
+            f"step {step}: per-flow state diverged"
+        )
 
     # Drain to empty and compare the tail order too.
     while True:
-        p_obj, p_fast = obj.dequeue(), fast.dequeue()
+        p_obj, got = obj.dequeue(), lane_pull(lane, fids)
         if p_obj is None:
-            assert p_fast is None
+            assert got is None
             break
-        assert (p_obj.flow_id, p_obj.size) == (p_fast.flow_id, p_fast.size)
+        assert got == (p_obj.flow_id, p_obj.size)
 
-    assert obj_ops.count == fast_ops.count, "op-count profiles diverged"
+    assert obj_ops.count == lane_ops.count, "op-count profiles diverged"
+    assert flow_stats(obj, flows) == flow_stats(lane, flows)
+    assert lane.backlog == 0 and lane.backlog_bytes == 0
     if hasattr(obj, "terms_scanned"):
-        assert obj.terms_scanned == fast.terms_scanned
+        assert obj.terms_scanned == lane.terms_scanned
 
 
-@pytest.mark.parametrize("obj_name,fast_name,kwargs", CONFIGS)
-def test_pull_batch_matches_object_dequeue_sequence(
-    obj_name, fast_name, kwargs
-):
-    """The fused batch loop must serve exactly the per-call sequence."""
+@pytest.mark.parametrize("name,kwargs", CONFIGS)
+def test_pull_batch_matches_object_dequeue_sequence(name, kwargs):
+    """``pull_batch`` serves exactly the per-call sequence."""
     rng = random.Random(99)
-    obj, fast, _o, _f = build_pair(obj_name, fast_name, kwargs)
+    obj, lane, obj_ops, lane_ops = build_pair(name, kwargs)
     for i, w in enumerate(WEIGHTS):
         obj.add_flow(i, w)
-        fast.add_flow(i, w)
-    for _ in range(400):
+        lane.add_flow(i, w)
+    for seq in range(400):
         fid = rng.randrange(len(WEIGHTS))
         size = rng.randint(40, 1500)
         obj.enqueue(Packet(fid, size))
-        fast.push(fast.slot_of(fid), size)
+        lane.push(lane.slot_of(fid), size, seq)
 
     expected = []
     while True:
@@ -131,22 +150,55 @@ def test_pull_batch_matches_object_dequeue_sequence(
 
     got = []
     while True:
-        batch = fast.pull_batch(7)  # odd budget: exercises partial fills
+        batch = lane.pull_batch(7)  # odd budget: exercises partial fills
         if not batch:
             break
-        got.extend(
-            (fast.lanes.fids[slot], size) for slot, size, _ref in batch
-        )
-    assert got == expected
-    assert fast.backlog == 0 and fast.backlog_bytes == 0
+        got.extend((slot, size) for slot, size, _ref in batch)
+    assert got == expected  # slots equal flow ids: added in id order
+    assert lane.backlog == 0 and lane.backlog_bytes == 0
+    assert lane_ops.count == obj_ops.count
+    if hasattr(obj, "terms_scanned"):
+        assert obj.terms_scanned == lane.terms_scanned
+
+
+@pytest.mark.parametrize("name,kwargs", CONFIGS)
+def test_flow_table_reads_scalar_items(name, kwargs):
+    """``remove_flow``, ``reweight`` and ``backlog_bytes`` stay exact
+    while ``(slot, size, ref)`` items are queued."""
+    sched = create_scheduler(name, **kwargs)
+    sched.add_flow("a", 2)
+    sched.add_flow("b", 3)
+    for size in (100, 250, 400):
+        sched.push(sched.slot_of("a"), size)
+        sched.push(sched.slot_of("b"), size + 1)
+    assert sched.flow_state("a").backlog_bytes == 750
+    assert sched.backlog_bytes == 750 + 753
+    sched.reweight("b", 5)
+    assert sched.remove_flow("a") == 3
+    assert sched.backlog == 3 and sched.backlog_bytes == 753
+    served = sched.pull_batch(10)
+    assert [size for _slot, size, _ref in served] == [101, 251, 401]
+    assert sched.backlog == 0 and sched.backlog_bytes == 0
+
+
+def test_slots_are_recycled():
+    sched = create_scheduler("srr")
+    sched.add_flow("a", 1)
+    sched.add_flow("b", 1)
+    slot_a = sched.slot_of("a")
+    sched.remove_flow("a")
+    sched.add_flow("c", 4)
+    assert sched.slot_of("c") == slot_a
+    assert sched.push(slot_a, 100, "ref")
+    assert sched.pull() == (slot_a, 100, "ref")
 
 
 def test_materialized_wss_table_is_shared_across_instances():
     """``wss_storage="materialized"`` reads the process-wide memoised
     table from :mod:`repro.core.wss` — one copy per order, shared by
-    every instance (object or fast), never rebuilt per scheduler."""
-    a = create_scheduler("srr:fast", wss_storage="materialized")
-    b = create_scheduler("srr:fast", wss_storage="materialized")
+    every instance, never rebuilt per scheduler."""
+    a = create_scheduler("srr", wss_storage="materialized")
+    b = create_scheduler("srr", wss_storage="materialized")
     for sched in (a, b):
         for i, w in enumerate((1, 2, 4)):
             sched.add_flow(i, w)
@@ -154,8 +206,7 @@ def test_materialized_wss_table_is_shared_across_instances():
         while sched.pull() is not None:
             pass
     order = 3  # three columns occupied above
-    assert order in a._wss_tables and order in b._wss_tables
-    assert a._wss_tables[order] is b._wss_tables[order]
     from repro.core.wss import _materialized
 
-    assert a._wss_tables[order] is _materialized(order)
+    assert a._wss_tables[order]._seq is b._wss_tables[order]._seq
+    assert a._wss_tables[order]._seq is _materialized(order)

@@ -55,10 +55,10 @@ class TestFaithfulness:
             assert got[fid][2] == pytest.approx(delay_sum, abs=1e-9), fid
             assert got[fid][3] == pytest.approx(delay_max, abs=1e-12), fid
 
-    def test_drr_fast_core_matches_too(self, monkeypatch):
+    def test_drr_core_matches_too(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "calendar")
         expected = object_reference(8, 0.5, scheduler="drr")
-        run = run_single_bottleneck_fast(8, 0.5, scheduler="drr:fast")
+        run = run_single_bottleneck_fast(8, 0.5, scheduler="drr")
         got = fast_by_fid(run)
         assert {
             fid: (p, b) for fid, (p, b, _s, _m) in got.items()
@@ -100,9 +100,9 @@ class TestRunAccounting:
 
 
 class TestGuards:
-    def test_object_core_scheduler_is_rejected(self):
+    def test_scheduler_without_scalar_lane_is_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_single_bottleneck_fast(4, 0.1, scheduler="srr")
+            run_single_bottleneck_fast(4, 0.1, scheduler="wfq")
 
     def test_overbooked_link_is_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,11 +1,9 @@
-"""Engine-stats parity across cores + the event-reuse audit.
+"""The event-reuse audit: the engine's event lifecycle (``reschedule``)
+and the port's transmit loop (one recycled tx event).
 
-The fastpath PR touched the engine's event lifecycle (``reschedule``)
-and the port's transmit loop (single recycled tx event). These tests pin
-down the audit: cancellation accounting (``pending_live`` /
-``cancelled_reaped``), reuse preconditions, and — the regression test —
-that a network run reports *identical* engine statistics and deliveries
-whether the bottleneck runs the object or the flat core.
+These tests pin down cancellation accounting (``pending_live`` /
+``cancelled_reaped``), reuse preconditions, and that a port re-arms a
+single transmit event per packet.
 """
 
 import pytest
@@ -117,51 +115,10 @@ class TestReschedule:
         assert reuse_stats == fresh_stats
 
 
-class TestCrossCoreStatsParity:
-    """The satellite regression test: a bottleneck network must report
-    identical engine counters, scheduler telemetry, and deliveries on
-    the object and flat cores (the tx-event recycling and the fastpath's
-    own bookkeeping are both exercised here)."""
-
-    N_FLOWS = 16
-    UNTIL = 0.5
-
-    def _run(self, scheduler, engine, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, engine)
-        net = single_bottleneck_network(scheduler, self.N_FLOWS)
-        net.run(until=self.UNTIL)
-        stats = net.engine_stats()
-        engine_keys = {
-            k: stats[k]
-            for k in (
-                "events_processed", "cancelled_reaped", "max_heap_depth",
-                "pending_events", "pending_live",
-            )
-        }
-        deliveries = {
-            fid: (rec.packets, rec.bytes, rec.delays())
-            for fid, rec in sorted(net.sinks.flows.items())
-        }
-        sched = net.port("R", "dst").scheduler
-        return engine_keys, deliveries, sched
-
-    @pytest.mark.parametrize("engine", ["heap", "calendar"])
-    def test_object_and_fast_cores_agree(self, engine, monkeypatch):
-        obj_stats, obj_dlv, obj_sched = self._run("srr", engine, monkeypatch)
-        fast_stats, fast_dlv, fast_sched = self._run(
-            "srr:fast", engine, monkeypatch
-        )
-        assert fast_stats == obj_stats
-        assert fast_dlv == obj_dlv
-        assert fast_sched.terms_scanned == obj_sched.terms_scanned
-        # Sanity: the run did real work, so the equalities are not
-        # comparing empty simulations.
-        assert obj_stats["events_processed"] > 100
-        assert sum(p for p, _b, _d in obj_dlv.values()) > 100
-
+class TestPortTxEvent:
     def test_port_recycles_one_tx_event(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "calendar")
-        net = single_bottleneck_network("srr:fast", 4)
+        net = single_bottleneck_network("srr", 4)
         net.run(until=0.1)
         port = net.port("R", "dst")
         event = port._tx_event

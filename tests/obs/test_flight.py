@@ -1,8 +1,9 @@
-"""Tests for the fast-core flight recorder (repro.obs.flight)."""
+"""Tests for the SRR/DRR flight recorder (repro.obs.flight)."""
 
 import pytest
 
-from repro.fastpath import FastSRRScheduler
+from repro.bench.scenarios import single_bottleneck_network
+from repro.core import Packet, SRRScheduler
 from repro.fastpath.netloop import run_single_bottleneck_fast
 from repro.obs import flight as flight_mod
 from repro.obs.flight import (
@@ -11,6 +12,7 @@ from repro.obs.flight import (
     get_flight_recorder,
     set_flight_recorder,
 )
+from repro.schedulers import DRRScheduler
 
 
 @pytest.fixture(autouse=True)
@@ -93,7 +95,7 @@ class TestRingBuffer:
 
 class TestArming:
     def test_arm_swaps_to_twin_and_disarm_restores(self):
-        sched = FastSRRScheduler()
+        sched = SRRScheduler()
         bare = type(sched)
         rec = FlightRecorder(capacity=64, sample_shift=0)
         rec.arm(sched)
@@ -108,14 +110,14 @@ class TestArming:
     def test_born_as_twin_when_global_recorder_armed(self):
         rec = FlightRecorder(capacity=64, sample_shift=0)
         set_flight_recorder(rec)
-        sched = FastSRRScheduler()
+        sched = SRRScheduler()
         assert type(sched)._flight_base is not None
         assert sched._flight is rec
 
     def test_shift_zero_records_every_operation(self):
         rec = FlightRecorder(capacity=64, sample_shift=0)
         set_flight_recorder(rec)
-        sched = FastSRRScheduler()
+        sched = SRRScheduler()
         sched.add_flow("a", 1)
         slot = sched.slot_of("a")
         for _ in range(5):
@@ -133,7 +135,7 @@ class TestArming:
     def test_sampling_mask_keeps_one_in_rate(self):
         rec = FlightRecorder(capacity=64, sample_shift=2)  # 1 in 4
         set_flight_recorder(rec)
-        sched = FastSRRScheduler()
+        sched = SRRScheduler()
         sched.add_flow("a", 1)
         slot = sched.slot_of("a")
         for _ in range(16):
@@ -145,11 +147,46 @@ class TestArming:
         monkeypatch.setenv(FLIGHT_ENV_VAR, "3")
         rec = get_flight_recorder()
         assert rec is not None and rec.sample_shift == 3
-        sched = FastSRRScheduler()
+        sched = SRRScheduler()
         assert sched._flight is rec
         # Explicit disarm wins over a stale env var for this process.
         set_flight_recorder(None)
         assert get_flight_recorder() is None
+
+
+class TestObjectLane:
+    @pytest.mark.parametrize("cls", [SRRScheduler, DRRScheduler])
+    def test_enqueue_dequeue_are_recorded(self, cls):
+        rec = FlightRecorder(capacity=64, sample_shift=0)
+        sched = cls()
+        rec.arm(sched)
+        sched.add_flow("a", 2)
+        for _ in range(3):
+            assert sched.enqueue(Packet("a", 100))
+        while sched.dequeue() is not None:
+            pass
+        kinds = [r["kind"] for r in rec.records()]
+        assert kinds == ["push"] * 3 + ["pull"] * 3
+        slot = sched.slot_of("a")
+        assert {r["slot"] for r in rec.records()} == {slot}
+        assert [r["occupancy"] for r in rec.records()] == [1, 2, 3, 2, 1, 0]
+
+    def test_env_armed_network_keeps_recorder_off_digest(self, monkeypatch):
+        def digest():
+            net = single_bottleneck_network("srr", 8)
+            net.run(until=0.3)
+            return {
+                fid: (r.packets, r.bytes, tuple(r.delays()))
+                for fid, r in net.sinks.flows.items()
+            }
+
+        off = digest()
+        monkeypatch.setenv(FLIGHT_ENV_VAR, "6")
+        flight_mod._reset_for_tests()
+        armed = digest()
+        rec = get_flight_recorder()
+        assert rec.n > 0 and len(rec) > 0
+        assert armed == off
 
 
 class TestNetloopSampling:
@@ -174,6 +211,15 @@ class TestNetloopSampling:
         assert kinds == {"push", "pull"}
         # The burst accounting still counts every operation it skips.
         assert rec.n >= 2 * run.total_delivered
+
+    def test_drr_burst_sampling_matches_recorder_off(self):
+        off = self.run(scheduler="drr")
+        rec = FlightRecorder(sample_shift=1)
+        set_flight_recorder(rec)
+        armed = self.run(scheduler="drr")
+        assert armed.delivered == off.delivered
+        assert armed.delay_sum == off.delay_sum
+        assert {r["kind"] for r in rec.records()} == {"push", "pull"}
 
     def test_exact_mode_in_netloop(self):
         rec = FlightRecorder(capacity=1 << 15, sample_shift=0)

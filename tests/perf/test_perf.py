@@ -99,7 +99,7 @@ class TestDocument:
         assert speedup_summary(_doc(only_heap)) == {}
 
     def test_fastpath_speedup_compares_mean_round_times(self):
-        # Object side = the calendar run; fast side = the engine-less
+        # Engine side = the calendar run; lean side = the engine-less
         # core:"fast" entry. Ratio is of mean times, not throughput.
         obj = Benchmark(
             "end_to_end", "e2e[calendar]", {"engine": "calendar"},
@@ -186,20 +186,21 @@ class TestSuiteDefinition:
         names = [b.name for b in benches]
         assert len(names) == len(set(names))  # names are unique keys
         # Both engines appear in both engine-sensitive groups (the
-        # flat-core lean-loop entry has no event queue, hence no
-        # ``engine`` param — it is keyed by ``core`` instead).
+        # lean-loop entry has no event queue, hence no ``engine`` param —
+        # it is keyed by ``core`` instead).
         for group in ("event_loop", "end_to_end"):
             engines = {
                 b.params["engine"] for b in benches
                 if b.group == group and "engine" in b.params
             }
             assert engines == {"heap", "calendar"}
-        # The flat-core benches ride along: scalar-datapath dequeues at
-        # every sweep size plus the lean end-to-end replay.
+        # The lean end-to-end replay rides along, and every dequeue
+        # discipline is benched at every sweep size.
         assert "e2e_srr_bottleneck[fastpath-n256]" in names
-        for n in (16, 512, 4096):
-            assert f"dequeue[srr:fast-n{n}]" in names
-            assert f"dequeue[drr:fast-n{n}]" in names
+        for sched in ("srr", "drr", "iwrr", "wfq"):
+            for n in (16, 512, 4096):
+                assert f"dequeue[{sched}-n{n}]" in names
+        assert not [n for n in names if ":" in n]
         # The shard-scaling sweep includes the 1-shard reference every
         # speedup is computed against.
         shard_counts = {

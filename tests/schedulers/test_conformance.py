@@ -180,9 +180,7 @@ class TestLongRunWeightedShare:
     """All weighted disciplines must deliver long-run service proportional
     to weights under constant backlog (equal packet sizes)."""
 
-    # Exclusion by base name so fast-core twins (e.g. "rr:fast") inherit
-    # their object core's weighted/unweighted classification.
-    WEIGHTED = [n for n in ALL if n.split(":")[0] not in ("fifo", "rr")]
+    WEIGHTED = [n for n in ALL if n not in ("fifo", "rr")]
 
     @pytest.mark.parametrize("name", WEIGHTED)
     def test_share_ratio(self, name):
