@@ -5,11 +5,11 @@ for a sweep of tagged weights among unit-weight competitors, the measured
 worst deviation from the ideal rate-r service must stay under the bound.
 """
 
-from repro.bench import e10_bound_validation
+from repro.bench import run_experiment
 
 
 def test_e10_bound_validation(run_once):
-    result = run_once(e10_bound_validation, n_flows=40, rounds=25)
+    result = run_once(run_experiment, "e10", n_flows=40, rounds=25)
     for name in ("srr", "g3", "rrr"):
         assert result[name], name
         for case in result[name]:

@@ -7,11 +7,11 @@ WSS spreading; DRR/WFQ are byte-fair by construction.
 
 import pytest
 
-from repro.bench import e11_variable_packet_sizes
+from repro.bench import run_experiment
 
 
 def test_e11_variable_packet_sizes(run_once):
-    result = run_once(e11_variable_packet_sizes, rounds=250)
+    result = run_once(run_experiment, "e11", rounds=250)
     # Packet mode: the large-packet flow gets ~1500/64 the bytes.
     assert result["srr packet"] > 10
     # Deficit mode and the byte-based disciplines: ~1.0.

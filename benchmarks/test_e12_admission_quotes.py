@@ -7,11 +7,11 @@ magnitude tighter; WFQ tighter still; FIFO cannot promise anything; and
 the SRR quote, however loose, must hold empirically.
 """
 
-from repro.bench import e12_admission_quotes
+from repro.bench import run_experiment
 
 
 def test_e12_admission_quotes(run_once):
-    result = run_once(e12_admission_quotes)
+    result = run_once(run_experiment, "e12")
     srr = result["srr"]["total_ms"]
     g3 = result["g3"]["total_ms"]
     wfq = result["wfq"]["total_ms"]

@@ -4,11 +4,11 @@ Regenerates the WSS examples of the paper (Eq. 6-7) and checks the two
 structural properties SRR's fairness rests on.
 """
 
-from repro.bench import e1_wss_properties
+from repro.bench import run_experiment
 
 
 def test_e1_wss_properties(run_once):
-    result = run_once(e1_wss_properties, 14)
+    result = run_once(run_experiment, "e1", max_order=14)
     assert result["all_counts_ok"]
     assert result["all_spacing_ok"]
     assert result["wss4"] == [1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1]

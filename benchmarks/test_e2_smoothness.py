@@ -6,12 +6,12 @@ via the gap coefficient-of-variation and max inter-service distance of
 the heaviest flow, and the max wait of the lightest flow.
 """
 
-from repro.bench import e2_smoothness
+from repro.bench import run_experiment
 
 
 def test_e2_smoothness(run_once):
-    result = run_once(e2_smoothness, ("srr", "wrr", "drr"), n_flows=12,
-                      rounds=8)
+    result = run_once(run_experiment, "e2",
+                      schedulers=("srr", "wrr", "drr"), n_flows=12, rounds=8)
     srr, wrr, drr = result["srr"], result["wrr"], result["drr"]
     # SRR's heavy flow is served far more regularly than WRR's.
     assert srr["heavy"]["cv"] < wrr["heavy"]["cv"] / 4

@@ -6,7 +6,7 @@ grows with N for every weight); under WFQ the high-rate flow is protected
 (its delay stays near the propagation floor).
 """
 
-from repro.bench import e3_end_to_end_delay
+from repro.bench import run_experiment
 
 # Reduced scale: 300 background flows, 4 simulated seconds.
 N_BACKGROUND = 300
@@ -15,8 +15,9 @@ DURATION = 4.0
 
 def test_e3_end_to_end_delay(run_once):
     result = run_once(
-        e3_end_to_end_delay,
-        ("srr", "drr", "wfq"),
+        run_experiment,
+        "e3",
+        schedulers=("srr", "drr", "wfq"),
         duration=DURATION,
         n_background=N_BACKGROUND,
     )

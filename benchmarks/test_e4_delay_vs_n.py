@@ -6,16 +6,17 @@ slower (its bound is N-independent).
 """
 
 from repro.analysis import wfq_delay_bound
-from repro.bench import BOTTLENECK_BPS, MTU, e4_delay_vs_n
+from repro.bench import BOTTLENECK_BPS, MTU, run_experiment
 
 N_VALUES = (16, 64, 256)
 
 
 def test_e4_delay_vs_n(run_once):
     result = run_once(
-        e4_delay_vs_n,
-        ("srr", "wfq"),
-        N_VALUES,
+        run_experiment,
+        "e4",
+        schedulers=("srr", "wfq"),
+        n_values=N_VALUES,
         duration=3.0,
     )
     srr = result["srr"]

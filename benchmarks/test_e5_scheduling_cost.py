@@ -6,7 +6,7 @@ complexity comparison. A wall-clock benchmark of the SRR hot path rides
 along.
 """
 
-from repro.bench import e5_scheduling_cost
+from repro.bench import run_experiment
 from repro.bench.workloads import build_loaded_scheduler
 
 N_VALUES = (16, 256, 4096)
@@ -14,9 +14,10 @@ N_VALUES = (16, 256, 4096)
 
 def test_e5_ops_shape(run_once):
     result = run_once(
-        e5_scheduling_cost,
-        ("srr", "drr", "wfq", "scfq", "g3"),
-        N_VALUES,
+        run_experiment,
+        "e5",
+        schedulers=("srr", "drr", "wfq", "scfq", "g3"),
+        n_values=N_VALUES,
         measure=2000,
     )
     srr, wfq, scfq, g3 = (

@@ -6,13 +6,14 @@ WRR/DRR's burst-induced lag; plain RR must be visibly unfair under
 unequal weights.
 """
 
-from repro.bench import e6_fairness
+from repro.bench import run_experiment
 
 
 def test_e6_fairness(run_once):
     result = run_once(
-        e6_fairness,
-        ("srr", "wrr", "drr", "wfq", "rr"),
+        run_experiment,
+        "e6",
+        schedulers=("srr", "wrr", "drr", "wfq", "rr"),
         n_flows=16,
         rounds=12,
     )

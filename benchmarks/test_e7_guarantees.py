@@ -5,7 +5,7 @@ few percent of its reservation despite the Pareto best-effort overload;
 FIFO — no isolation — must visibly hurt at least one reserved flow.
 """
 
-from repro.bench import e7_guarantees
+from repro.bench import run_experiment
 
 DURATION = 4.0
 N_BACKGROUND = 100
@@ -13,8 +13,9 @@ N_BACKGROUND = 100
 
 def test_e7_guarantees(run_once):
     result = run_once(
-        e7_guarantees,
-        ("srr", "drr", "wfq", "fifo"),
+        run_experiment,
+        "e7",
+        schedulers=("srr", "drr", "wfq", "fifo"),
         duration=DURATION,
         n_background=N_BACKGROUND,
     )

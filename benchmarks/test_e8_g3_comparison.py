@@ -6,7 +6,7 @@ inside its Theorem 2 bounds; SRR's worst delay is large for BOTH flows
 grows with the slot grid) while remaining fine for f2.
 """
 
-from repro.bench import e8_g3_comparison
+from repro.bench import run_experiment
 
 DURATION = 4.0
 N_BACKGROUND = 300
@@ -14,8 +14,9 @@ N_BACKGROUND = 300
 
 def test_e8_g3_comparison(run_once):
     result = run_once(
-        e8_g3_comparison,
-        ("g3", "srr", "rrr"),
+        run_experiment,
+        "e8",
+        schedulers=("g3", "srr", "rrr"),
         duration=DURATION,
         n_background=N_BACKGROUND,
     )

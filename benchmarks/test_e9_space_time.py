@@ -7,12 +7,12 @@
     expanded while per-packet work grows — the tradeoff's two sides.
 """
 
-from repro.bench import e9_space_time
+from repro.bench import run_experiment
 
 
 def test_e9_space_time(run_once):
     result = run_once(
-        e9_space_time, wss_order=16, stored_order=9, lookups=20000
+        run_experiment, "e9", wss_order=16, stored_order=9, lookups=20000
     )
     wss = result["wss"]
     # Space ordering: closed form stores nothing; folded stores 2^9-1;

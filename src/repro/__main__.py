@@ -8,7 +8,7 @@ experiments and examples. The actual experiment CLI is
 import sys
 
 from . import __version__
-from .bench.runner import EXPERIMENTS, _DESCRIPTIONS
+from .bench.experiments import SPECS
 from .schedulers import available_schedulers
 
 
@@ -19,8 +19,8 @@ def main() -> int:
     print()
     print("experiments (python -m repro.bench <id> "
           "[--scale quick|default|full] [--jobs N] [--seed S] [--json]):")
-    for name in sorted(EXPERIMENTS, key=lambda n: int(n[1:])):
-        print(f"  {name:4s} {_DESCRIPTIONS[name]}")
+    for name, spec in SPECS.items():
+        print(f"  {name:4s} {spec.title}")
     print()
     print("observability: python -m repro.obs report results/<exp>/*.json")
     print("(metrics in artifacts; --trace PATH on repro.bench for "

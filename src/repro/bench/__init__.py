@@ -4,27 +4,15 @@
 (or ``--quick``) shrinks simulation scale, ``--jobs N`` fans sweeps out
 over a process pool, ``--seed``/``--set key=value`` pin the run, and
 every run writes a ``results/<exp>/<timestamp>-<seed>.json`` artifact.
-The same functions back the pytest-benchmark suite in ``benchmarks/``;
-the typed specs live in :data:`repro.bench.experiments.SPECS` and the
-run machinery in :mod:`repro.harness`.
+From Python, ``run_experiment("e3", **params)`` returns the summary
+metrics the pytest-benchmark suite in ``benchmarks/`` asserts on, and
+``run_config`` the full run record; the typed specs live in
+:data:`repro.bench.experiments.SPECS` and the run machinery in
+:mod:`repro.harness`.
 """
 
-from .experiments import (
-    e1_wss_properties,
-    e2_smoothness,
-    e3_end_to_end_delay,
-    e4_delay_vs_n,
-    e5_scheduling_cost,
-    e6_fairness,
-    e7_guarantees,
-    e8_g3_comparison,
-    e9_space_time,
-    e10_bound_validation,
-    e11_variable_packet_sizes,
-    e12_admission_quotes,
-)
 from .experiments import SPECS
-from .runner import EXPERIMENTS, run_config, run_experiment
+from .runner import run_config, run_experiment
 from .scenarios import (
     BOTTLENECK_BPS,
     MTU,
@@ -43,24 +31,11 @@ from .workloads import (
 
 __all__ = [
     "BOTTLENECK_BPS",
-    "EXPERIMENTS",
     "SPECS",
     "MTU",
     "WEIGHT_UNIT_BPS",
     "build_loaded_scheduler",
     "dumbbell_network",
-    "e10_bound_validation",
-    "e11_variable_packet_sizes",
-    "e12_admission_quotes",
-    "e1_wss_properties",
-    "e2_smoothness",
-    "e3_end_to_end_delay",
-    "e4_delay_vs_n",
-    "e5_scheduling_cost",
-    "e6_fairness",
-    "e7_guarantees",
-    "e8_g3_comparison",
-    "e9_space_time",
     "geometric_weights",
     "ops_per_packet",
     "ops_profile",

@@ -1,4 +1,4 @@
-"""The experiments of EXPERIMENTS.md (E1-E12), on the run harness.
+"""The experiments of EXPERIMENTS.md (E1–E14, E16), on the run harness.
 
 Each experiment is declared as an :class:`~repro.harness.ExperimentSpec`:
 a frozen dataclass of typed parameters (with ``quick``/``full`` scale
@@ -8,10 +8,9 @@ pool with ``--jobs N`` while staying bit-identical to a serial run — and
 emits its tables from the same per-point records that land in the
 ``results/`` JSON artifacts.
 
-The legacy ``eN_*`` callables are kept as thin wrappers returning the
-summary metrics dict (what the pytest benches assert on); the full
-structured record of a run is the :class:`~repro.harness.RunResult`
-returned by ``repro.bench.runner.run_config``.
+Run one from Python with ``repro.bench.run_experiment`` (the summary
+metrics dict the pytest benches assert on) or ``repro.bench.run_config``
+(the full :class:`~repro.harness.RunResult`).
 
 Point functions are module-level (picklable) and self-contained: each
 receives everything it needs as plain arguments, including its own seed
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..analysis.bounds import (
     end_to_end_bound,
@@ -43,7 +42,7 @@ from ..core.wss import (
     value_count,
     wss_sequence,
 )
-from ..harness import ExperimentSpec, RunContext, run_spec
+from ..harness import ExperimentSpec, RunContext
 from ..schedulers.registry import create_scheduler
 from .scenarios import (
     BOTTLENECK_BPS,
@@ -59,33 +58,7 @@ from .workloads import (
     service_sequence,
 )
 
-__all__ = [
-    "SPECS",
-    "e1_wss_properties",
-    "e2_smoothness",
-    "e3_end_to_end_delay",
-    "e4_delay_vs_n",
-    "e5_scheduling_cost",
-    "e6_fairness",
-    "e7_guarantees",
-    "e8_g3_comparison",
-    "e9_space_time",
-    "e10_bound_validation",
-    "e11_variable_packet_sizes",
-    "e12_admission_quotes",
-    "e13_churn_resilience",
-    "e14_overload_control",
-    "e15_shard_scaling",
-    "e16_bound_tightness",
-]
-
-
-def _metrics(eid: str, overrides: Dict, *, quiet: bool, jobs: int, seed: int) -> Dict:
-    """Run one spec with legacy-style kwargs; return the summary metrics."""
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    return run_spec(
-        SPECS[eid], seed=seed, jobs=jobs, quiet=quiet, overrides=clean
-    ).metrics
+__all__ = ["SPECS"]
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +110,6 @@ def _e1_body(p: E1Params, ctx: RunContext) -> Dict:
         "all_spacing_ok": all(r["spacing_ok"] for r in records),
         "wss4": wss_sequence(4),
     }
-
-
-def e1_wss_properties(max_order: int = None, *, quiet: bool = False,
-                      jobs: int = 1) -> Dict:
-    """WSS examples and the term-frequency/spacing properties (E1)."""
-    return _metrics("e1", {"max_order": max_order},
-                    quiet=quiet, jobs=jobs, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +200,6 @@ def _e2_body(p: E2Params, ctx: RunContext) -> Dict:
         }
         for r in records
     }
-
-
-def e2_smoothness(
-    schedulers: Sequence[str] = None,
-    *,
-    n_flows: int = None,
-    rounds: int = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """Inter-service-distance statistics per scheduler (E2, claim C3)."""
-    return _metrics(
-        "e2",
-        {"schedulers": schedulers, "n_flows": n_flows, "rounds": rounds},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,25 +297,6 @@ def _e3_body(p: E3Params, ctx: RunContext) -> Dict:
     return results
 
 
-def e3_end_to_end_delay(
-    schedulers: Sequence[str] = None,
-    *,
-    duration: float = None,
-    n_background: int = None,
-    repeats: int = None,
-    base_seed: int = 1,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """The Fig. 8 dumbbell delays (E3); see the spec body for details."""
-    return _metrics(
-        "e3",
-        {"schedulers": schedulers, "duration": duration,
-         "n_background": n_background, "repeats": repeats},
-        quiet=quiet, jobs=jobs, seed=base_seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # E4 — delay vs number of flows
 # ---------------------------------------------------------------------------
@@ -444,23 +375,6 @@ def _e4_body(p: E4Params, ctx: RunContext) -> Dict:
         ),
     )
     return results
-
-
-def e4_delay_vs_n(
-    schedulers: Sequence[str] = None,
-    n_values: Sequence[int] = None,
-    *,
-    duration: float = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """Tagged-flow max delay as N grows (E4, Theorem 1's linear-in-N)."""
-    return _metrics(
-        "e4",
-        {"schedulers": schedulers, "n_values": n_values,
-         "duration": duration},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -565,24 +479,6 @@ def _e5_body(p: E5Params, ctx: RunContext) -> Dict:
     return results
 
 
-def e5_scheduling_cost(
-    schedulers: Sequence[str] = None,
-    n_values: Sequence[int] = None,
-    *,
-    measure: int = None,
-    time_it: bool = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """Elementary operations (and optionally wall time) per packet vs N (E5)."""
-    return _metrics(
-        "e5",
-        {"schedulers": schedulers, "n_values": n_values,
-         "measure": measure, "time_it": time_it},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
-
-
 # ---------------------------------------------------------------------------
 # E6 — fairness table
 # ---------------------------------------------------------------------------
@@ -644,22 +540,6 @@ def _e6_body(p: E6Params, ctx: RunContext) -> Dict:
         }
         for r in records
     }
-
-
-def e6_fairness(
-    schedulers: Sequence[str] = None,
-    *,
-    n_flows: int = None,
-    rounds: int = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """Weighted fairness indices in a saturated single node (E6)."""
-    return _metrics(
-        "e6",
-        {"schedulers": schedulers, "n_flows": n_flows, "rounds": rounds},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -736,23 +616,6 @@ def _e7_body(p: E7Params, ctx: RunContext) -> Dict:
         ),
     )
     return {r["scheduler"]: r["flows"] for r in records}
-
-
-def e7_guarantees(
-    schedulers: Sequence[str] = None,
-    *,
-    duration: float = None,
-    n_background: int = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """Reserved flows' goodput under best-effort overload (E7)."""
-    return _metrics(
-        "e7",
-        {"schedulers": schedulers, "duration": duration,
-         "n_background": n_background},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -833,23 +696,6 @@ def _e8_body(p: E8Params, ctx: RunContext) -> Dict:
     for record in records:
         results[record["scheduler"]] = record["flows"]
     return results
-
-
-def e8_g3_comparison(
-    schedulers: Sequence[str] = None,
-    *,
-    duration: float = None,
-    n_background: int = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """G-3 vs SRR vs RRR end-to-end delays (E8, follow-on Fig. 9)."""
-    return _metrics(
-        "e8",
-        {"schedulers": schedulers, "duration": duration,
-         "n_background": n_background},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -947,23 +793,6 @@ def _e9_body(p: E9Params, ctx: RunContext) -> Dict:
             for r in tarray_records
         },
     }
-
-
-def e9_space_time(
-    *,
-    wss_order: int = None,
-    stored_order: int = None,
-    lookups: int = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """WSS storage strategies and TArray expansion ablation (E9)."""
-    return _metrics(
-        "e9",
-        {"wss_order": wss_order, "stored_order": stored_order,
-         "lookups": lookups},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1077,21 +906,6 @@ def _e10_body(p: E10Params, ctx: RunContext) -> Dict:
     return results
 
 
-def e10_bound_validation(
-    *,
-    n_flows: int = None,
-    rounds: int = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """Measured worst lag vs analytic bound for SRR, G-3 and RRR (E10)."""
-    return _metrics(
-        "e10",
-        {"n_flows": n_flows, "rounds": rounds},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
-
-
 # ---------------------------------------------------------------------------
 # E11 — variable packet sizes (the "multi-service" in the title)
 # ---------------------------------------------------------------------------
@@ -1171,22 +985,6 @@ def _e11_body(p: E11Params, ctx: RunContext) -> Dict:
         ),
     )
     return {r["scheduler"]: r["ratio_raw"] for r in records}
-
-
-def e11_variable_packet_sizes(
-    *,
-    rounds: int = None,
-    small: int = None,
-    large: int = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """Byte fairness under bimodal packet sizes (E11)."""
-    return _metrics(
-        "e11",
-        {"rounds": rounds, "small": small, "large": large},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1312,24 +1110,6 @@ def _e12_body(p: E12Params, ctx: RunContext) -> Dict:
         ),
     )
     return results
-
-
-def e12_admission_quotes(
-    schedulers: Sequence[str] = None,
-    *,
-    rate_bps: float = None,
-    sigma_bytes: float = None,
-    validate: bool = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """End-to-end delay quotes per discipline + empirical validation (E12)."""
-    return _metrics(
-        "e12",
-        {"schedulers": schedulers, "rate_bps": rate_bps,
-         "sigma_bytes": sigma_bytes, "validate": validate},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1519,26 +1299,6 @@ def _e13_body(p: E13Params, ctx: RunContext) -> Dict:
         f"{r['scheduler']}@{r['intensity']}": r["plan_sig"] for r in records
     }
     return results
-
-
-def e13_churn_resilience(
-    schedulers: Sequence[str] = None,
-    intensities: Sequence[float] = None,
-    *,
-    duration: float = None,
-    n_flows: int = None,
-    check_invariants: bool = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """Fairness/latency/O(1) profile under seeded churn and faults (E13)."""
-    return _metrics(
-        "e13",
-        {"schedulers": schedulers, "intensities": intensities,
-         "duration": duration, "n_flows": n_flows,
-         "check_invariants": check_invariants},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1789,153 +1549,6 @@ def _e14_body(p: E14Params, ctx: RunContext) -> Dict:
     return results
 
 
-def e14_overload_control(
-    schedulers: Sequence[str] = None,
-    *,
-    control: str = None,
-    duration: float = None,
-    churn_rate_hz: float = None,
-    adapt_weights: bool = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """Guaranteed-class SLO compliance, control plane on vs off (E14)."""
-    return _metrics(
-        "e14",
-        {"schedulers": schedulers, "control": control,
-         "duration": duration, "churn_rate_hz": churn_rate_hz,
-         "adapt_weights": adapt_weights},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
-
-
-# ---------------------------------------------------------------------------
-# E15 — [ext] sharded engine: digest equivalence + scaling
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class E15Params:
-    #: Generated multi-hop topology: "fat_tree" or "dumbbell2".
-    topology: str = "fat_tree"
-    k: int = 4
-    flows_per_host: int = 1
-    groups: int = 8
-    hosts_per_group: int = 2
-    #: Shard counts to run; 1 is the single-process reference every other
-    #: count's digest is asserted against.
-    shards: Tuple[int, ...] = (1, 2, 4)
-    engines: Tuple[str, ...] = ("heap",)
-    duration: float = 0.3
-    scheduler: str = "srr"
-    #: Fail the run on any digest divergence (the point of the exercise).
-    check_digests: bool = True
-
-
-def _e15_body(p: E15Params, ctx: RunContext) -> Dict:
-    """Sharded conservative-lookahead engine: equivalence + scaling (E15).
-
-    For each event-queue engine, runs the generated topology at every
-    shard count and asserts the per-flow delivery digests are
-    bit-identical to the 1-shard reference — then reports wall-clock
-    speedup, boundary-packet traffic and the null-message ratio. The
-    shard workers are processes run_sharded spawns itself, so points run
-    serially here rather than through ``ctx.sweep`` (no pool-in-pool).
-    """
-    from ..net.scenario import dumbbell_of_dumbbells, fat_tree
-    from ..shard.engine import run_sharded
-
-    if p.topology == "fat_tree":
-        spec = fat_tree(
-            k=p.k, scheduler=p.scheduler,
-            flows_per_host=p.flows_per_host,
-        )
-    elif p.topology == "dumbbell2":
-        spec = dumbbell_of_dumbbells(
-            groups=p.groups, hosts_per_group=p.hosts_per_group,
-            scheduler=p.scheduler,
-        )
-    else:
-        raise ValueError(
-            f"topology must be 'fat_tree' or 'dumbbell2', got {p.topology!r}"
-        )
-    seed = ctx.child_seed(0)
-    records: List[Dict] = []
-    mismatches = 0
-    for engine in p.engines:
-        reference: Optional[str] = None
-        base_wall: Optional[float] = None
-        for shards in p.shards:
-            result = run_sharded(
-                spec, until=p.duration, shards=shards, engine=engine,
-                seed=seed,
-            )
-            if reference is None:
-                reference = result.digest
-                base_wall = result.wall_time_s
-            match = result.digest == reference
-            if not match:
-                mismatches += 1
-            records.append({
-                "topology": spec.name,
-                "engine": engine,
-                "shards": shards,
-                "events": result.events,
-                "delivered": result.delivered_packets,
-                "windows": result.windows,
-                "boundary": result.boundary_packets,
-                "null_pct": round(100.0 * result.null_ratio, 1),
-                "wall_s": round(result.wall_time_s, 4),
-                "speedup": round(base_wall / result.wall_time_s, 2),
-                "events_per_s": int(result.events / result.wall_time_s),
-                "digest": result.digest[:16],
-                "digest_ok": match,
-            })
-    ctx.add_points(records)
-    ctx.table(
-        ["engine", "shards", "events", "windows", "boundary", "null %",
-         "wall s", "speedup", "events/s", "digest ok"],
-        records=records,
-        columns=["engine", "shards", "events", "windows", "boundary",
-                 "null_pct", "wall_s", "speedup", "events_per_s",
-                 "digest_ok"],
-        title=f"E15: sharded engine on {spec.name} — digest equivalence "
-              "and scaling vs the 1-shard reference",
-    )
-    if p.check_digests and mismatches:
-        raise AssertionError(
-            f"{mismatches} sharded run(s) diverged from the 1-shard digest"
-        )
-    return {
-        "topology": spec.name,
-        "digests_ok": mismatches == 0,
-        "events": max(r["events"] for r in records),
-        "best_speedup": max(r["speedup"] for r in records),
-        "best_shards": max(
-            records, key=lambda r: r["speedup"]
-        )["shards"],
-    }
-
-
-def e15_shard_scaling(
-    topology: str = None,
-    *,
-    shards: Sequence[int] = None,
-    engines: Sequence[str] = None,
-    duration: float = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """Sharded-engine digest equivalence and speedup (E15)."""
-    return _metrics(
-        "e15",
-        {"topology": topology,
-         "shards": None if shards is None else tuple(shards),
-         "engines": None if engines is None else tuple(engines),
-         "duration": duration},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
-
-
 # ---------------------------------------------------------------------------
 # E16 — [ext] network-calculus bound tightness
 # ---------------------------------------------------------------------------
@@ -2082,24 +1695,6 @@ def _e16_body(p: E16Params, ctx: RunContext) -> Dict:
     return metrics
 
 
-def e16_bound_tightness(
-    disciplines: Sequence[str] = None,
-    *,
-    flow_counts: Sequence[int] = None,
-    seeds_per_case: int = None,
-    quiet: bool = False,
-    jobs: int = 1,
-) -> Dict:
-    """Observed-vs-certified delay ratio per discipline (E16)."""
-    return _metrics(
-        "e16",
-        {"disciplines": None if disciplines is None else tuple(disciplines),
-         "flow_counts": None if flow_counts is None else tuple(flow_counts),
-         "seeds_per_case": seeds_per_case},
-        quiet=quiet, jobs=jobs, seed=1,
-    )
-
-
 # ---------------------------------------------------------------------------
 # The declarative experiment registry
 # ---------------------------------------------------------------------------
@@ -2235,30 +1830,6 @@ SPECS: Dict[str, ExperimentSpec] = {
                 "duration": 8.0,
                 "schedulers": ("srr", "drr"),
                 "adapt_weights": True,
-            },
-        },
-    ),
-    "e15": ExperimentSpec(
-        eid="e15",
-        title="[ext] sharded engine: digest equivalence + scaling",
-        params_type=E15Params,
-        body=_e15_body,
-        scales={
-            "quick": {
-                "topology": "dumbbell2", "groups": 4,
-                "shards": (1, 2), "duration": 0.15,
-            },
-            # The headline config: a k=8 fat-tree (128 hosts, 512 flows)
-            # driven long enough to cross 10^8 packet events per run
-            # (~711k events per simulated second at steady state x 160
-            # s), heap and calendar both checked. Expect long wall times
-            # on one core; the point is the scaling curve on many.
-            "full": {
-                "k": 8,
-                "flows_per_host": 4,
-                "shards": (1, 2, 4, 8),
-                "engines": ("heap", "calendar"),
-                "duration": 160.0,
             },
         },
     ),

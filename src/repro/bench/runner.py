@@ -8,8 +8,8 @@ The CLI is a thin shell over :mod:`repro.harness`: it resolves one
 optionally dumps the full :class:`~repro.harness.RunResult` as JSON with
 ``--json``.
 
-``run_experiment(name, **kwargs)`` keeps the legacy call style used by
-the pytest benches: kwargs are forwarded to the ``eN_*`` wrapper and the
+``run_experiment(name, **params)`` is the Python entry point the pytest
+benches use: keyword parameters override the spec's defaults and the
 summary metrics dict is returned.
 """
 
@@ -19,46 +19,26 @@ import argparse
 import ast
 import json
 import sys
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..core.errors import ConfigurationError
-from ..harness import RunResult, build_config, run_config_for_spec
-from . import experiments
+from ..harness import RunResult, run_spec
 from .experiments import SPECS
 
-__all__ = ["EXPERIMENTS", "SPECS", "run_experiment", "run_config", "main"]
-
-EXPERIMENTS: Dict[str, Callable[..., Dict]] = {
-    "e1": experiments.e1_wss_properties,
-    "e2": experiments.e2_smoothness,
-    "e3": experiments.e3_end_to_end_delay,
-    "e4": experiments.e4_delay_vs_n,
-    "e5": experiments.e5_scheduling_cost,
-    "e6": experiments.e6_fairness,
-    "e7": experiments.e7_guarantees,
-    "e8": experiments.e8_g3_comparison,
-    "e9": experiments.e9_space_time,
-    "e10": experiments.e10_bound_validation,
-    "e11": experiments.e11_variable_packet_sizes,
-    "e12": experiments.e12_admission_quotes,
-    "e13": experiments.e13_churn_resilience,
-    "e14": experiments.e14_overload_control,
-    "e15": experiments.e15_shard_scaling,
-    "e16": experiments.e16_bound_tightness,
-}
-
-_DESCRIPTIONS = {eid: spec.title for eid, spec in SPECS.items()}
+__all__ = ["SPECS", "run_experiment", "run_config", "main"]
 
 
-def run_experiment(name: str, **kwargs) -> Dict:
-    """Run one experiment by id (``"e1"`` .. ``"e13"``), legacy style."""
-    try:
-        fn = EXPERIMENTS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
-        ) from None
-    return fn(**kwargs)
+def run_experiment(
+    name: str, *, seed: int = 1, jobs: int = 1, quiet: bool = True,
+    **params: Any,
+) -> Dict:
+    """Run one experiment by id; return its summary metrics dict.
+
+    ``params`` override the spec's default-scale parameters by name.
+    """
+    return run_config(
+        name, seed=seed, jobs=jobs, quiet=quiet, overrides=params
+    ).metrics
 
 
 def run_config(
@@ -82,12 +62,11 @@ def run_config(
         raise ConfigurationError(
             f"unknown experiment {name!r}; choose from {sorted(SPECS)}"
         ) from None
-    config = build_config(
+    return run_spec(
         spec, seed=seed, scale=scale, jobs=jobs, quiet=quiet,
         timeout=timeout, retries=retries, retry_backoff=retry_backoff,
         checkpoint_dir=checkpoint_dir, engine=engine, overrides=overrides,
     )
-    return run_config_for_spec(spec, config)
 
 
 def _parse_overrides(items: List[str]) -> Dict[str, Any]:
@@ -113,12 +92,12 @@ def main(argv: List[str] = None) -> int:
         description="Regenerate the SRR reproduction's tables and figures.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="experiments:\n" + "\n".join(
-            f"  {name:4s} {_DESCRIPTIONS[name]}" for name in EXPERIMENTS
+            f"  {name:4s} {spec.title}" for name, spec in SPECS.items()
         ),
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all"],
+        choices=sorted(SPECS) + ["all"],
         help="experiment id (see list below) or 'all'",
     )
     parser.add_argument(
@@ -225,17 +204,11 @@ def main(argv: List[str] = None) -> int:
              "probabilistically (e14 default 0.90)",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="simulation shard count for experiments that support it "
-             "(e15): runs the topology on N shard processes plus the "
-             "1-shard reference the digest is checked against",
-    )
-    parser.add_argument(
         "--flight", type=int, nargs="?", const=6, default=None,
         metavar="SHIFT",
         help="arm the process-wide flight recorder at 1-in-2^SHIFT "
-             "sampling (default shift 6 = 1/64); recording totals land "
-             "in the artifact's obs.flight block",
+             "sampling (default shift 6 = 1/64); the recording totals "
+             "are printed to stderr on exit",
     )
     parser.add_argument(
         "--telemetry", metavar="PATH", default=None,
@@ -262,8 +235,8 @@ def main(argv: List[str] = None) -> int:
 
     scale = "quick" if args.quick else args.scale
     overrides = _parse_overrides(args.overrides)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    # 'all' in natural order e1..e12, not lexicographic.
+    names = sorted(SPECS) if args.experiment == "all" else [args.experiment]
+    # 'all' in natural order e1..e16, not lexicographic.
     names.sort(key=lambda n: int(n[1:]))
     jobs = args.jobs
     tracer = None
@@ -302,20 +275,6 @@ def main(argv: List[str] = None) -> int:
         if unsupported and args.experiment != "all":
             raise ConfigurationError(
                 f"{flag} is not supported by {', '.join(unsupported)}"
-            )
-    if args.shards is not None:
-        overrides = dict(overrides)
-        # Always include the 1-shard reference: the digest check and the
-        # speedup column are both relative to it.
-        overrides["shards"] = (
-            (1,) if args.shards <= 1 else (1, args.shards)
-        )
-        unsupported = [
-            n for n in names if "shards" not in SPECS[n].param_names()
-        ]
-        if unsupported and args.experiment != "all":
-            raise ConfigurationError(
-                f"--shards is not supported by {', '.join(unsupported)}"
             )
     # Observability plumbing: both are env-var activated so sweep pool
     # workers (fresh processes) pick them up on their own.

@@ -250,9 +250,6 @@ class RunContext:
         #: merge the snapshots here (:meth:`record_metrics`) in task
         #: order; the merged snapshot lands in ``RunResult.obs``.
         self.metrics = MetricsRegistry()
-        #: Optional flight-recorder accounting block
-        #: (:meth:`record_flight`); lands as ``RunResult.obs["flight"]``.
-        self.flight: Optional[Dict[str, Any]] = None
 
     # -- determinism -------------------------------------------------------
 
@@ -328,15 +325,6 @@ class RunContext:
         for its returned records.
         """
         self.metrics.merge_snapshot(snapshot)
-
-    def record_flight(self, block: Mapping[str, Any]) -> None:
-        """Attach a flight-recorder summary to this run's obs artifact.
-
-        Bodies that drain a :class:`~repro.obs.flight.FlightRecorder`
-        record the totals here; ``repro.obs report`` renders the block
-        alongside the metrics families.
-        """
-        self.flight = dict(block)
 
     def record_engine(self, stats: Mapping[str, Any]) -> None:
         """Accumulate simulator/op-count observability counters.

@@ -57,11 +57,7 @@ def run_config_for_spec(
         points=ctx.points,
         tables=ctx.tables,
         engine=dict(ctx.engine),
-        obs=(
-            {"metrics": ctx.metrics.snapshot(), "flight": ctx.flight}
-            if ctx.flight is not None
-            else {"metrics": ctx.metrics.snapshot()}
-        ),
+        obs={"metrics": ctx.metrics.snapshot()},
         failed=[f.to_json_dict() for f in ctx.failed],
         started_at=started.isoformat(),
         wall_time_s=wall,

@@ -173,15 +173,6 @@ class Simulator:
         stats.update(self._queue.stats())
         return stats
 
-    def next_event_time(self) -> Optional[float]:
-        """Timestamp of the earliest queued event, ``None`` when empty.
-
-        Cancelled-but-unreaped events count (reaping them here would cost
-        pops): this is a diagnostic probe — the sharded engine reports
-        per-shard horizon lag from it — not a scheduling decision.
-        """
-        return self._queue.peek_time()
-
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
@@ -239,8 +230,6 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        *,
-        inclusive: bool = True,
     ) -> int:
         """Process events in time order.
 
@@ -249,13 +238,6 @@ class Simulator:
                 clock is left at ``until``; an event at exactly ``until``
                 still fires). ``None`` runs to exhaustion.
             max_events: Safety valve against runaway models.
-            inclusive: With ``inclusive=False`` the bound is exclusive —
-                an event at exactly ``until`` does *not* fire (it stays
-                queued) and the clock is still left at ``until``. This is
-                the half-open window ``[now, until)`` the sharded engine
-                advances by: events landing exactly on a barrier belong
-                to the next window, where cross-shard arrivals carrying
-                that timestamp have already been injected.
 
         Returns:
             The number of events processed by this call.
@@ -297,13 +279,9 @@ class Simulator:
                     processed += 1
                 self._events_processed += processed
             else:
-                exclusive = not inclusive
                 while queue.size:
                     event = peek()
-                    if until is not None and (
-                        event.time > until
-                        or (exclusive and event.time == until)
-                    ):
+                    if until is not None and event.time > until:
                         break
                     pop()
                     if event.cancelled:

@@ -120,11 +120,6 @@ class HeapQueue:
         heap = self._heap
         return heap[0] if heap else None
 
-    def peek_time(self) -> Optional[float]:
-        """Earliest queued timestamp without popping (None when empty)."""
-        heap = self._heap
-        return heap[0].time if heap else None
-
     def __len__(self) -> int:
         return self.size
 
@@ -246,15 +241,6 @@ class CalendarQueue:
                 return None
             self._promote()
         return self._near[self._head][2]
-
-    def peek_time(self) -> Optional[float]:
-        """Earliest queued timestamp without popping (None when empty).
-
-        May promote a bucket (like :meth:`peek`) but never reorders or
-        consumes anything.
-        """
-        event = self.peek()
-        return None if event is None else event.time
 
     def __len__(self) -> int:
         return self.size

@@ -22,30 +22,16 @@ class Link:
     dropped per the port's policy) until the link comes back up.
     """
 
-    __slots__ = ("rate_bps", "delay", "up", "boundary")
+    __slots__ = ("rate_bps", "delay", "up")
 
-    def __init__(
-        self, rate_bps: float, delay: float = 0.0, *, boundary: bool = False
-    ) -> None:
+    def __init__(self, rate_bps: float, delay: float = 0.0) -> None:
         if rate_bps <= 0:
             raise CapacityError(f"link rate must be positive, got {rate_bps}")
         if delay < 0:
             raise CapacityError(f"propagation delay must be >= 0, got {delay}")
-        if boundary and delay <= 0:
-            # The sharded engine's conservative window is bounded by the
-            # smallest boundary delay; a zero-delay boundary link would
-            # make every window empty.
-            raise CapacityError(
-                "a cross-shard (boundary) link needs a positive "
-                f"propagation delay, got {delay}"
-            )
         self.rate_bps = float(rate_bps)
         self.delay = float(delay)
         self.up = True
-        #: True when this link direction crosses a shard boundary (set by
-        #: the shard builder; the propagation leg then runs in the peer
-        #: shard's simulator rather than this one).
-        self.boundary = boundary
 
     def serialization_time(self, size_bytes: int) -> float:
         """Seconds needed to clock ``size_bytes`` onto the wire."""

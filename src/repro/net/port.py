@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..core.errors import SimulationError, UnknownFlowError
+from ..core.errors import UnknownFlowError
 from ..core.interfaces import PacketScheduler
 from ..core.packet import Packet
 from ..obs.metrics import DELAY_BUCKETS_S, MetricsRegistry
@@ -37,35 +37,9 @@ from ..obs.trace import Tracer, get_tracer
 from .engine import Simulator
 from .link import Link
 
-__all__ = ["BoundaryPeer", "OutputPort"]
+__all__ = ["OutputPort"]
 
 TransmitHook = Callable[[float, Packet], None]
-
-
-class BoundaryPeer:
-    """Stand-in receiver for a port whose true peer lives in another shard.
-
-    A boundary port never delivers locally — its packets leave through
-    :attr:`OutputPort.remote_receive` and are injected into the owning
-    shard at the next lookahead barrier. A local ``receive`` call means
-    the shard builder wired a boundary port without its remote hook, so
-    fail loudly instead of silently black-holing cross-shard traffic.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def receive(self, packet: Packet) -> None:
-        raise SimulationError(
-            f"boundary peer {self.name!r} got a local delivery for flow "
-            f"{packet.flow_id!r}; cross-shard packets must go through "
-            "OutputPort.remote_receive"
-        )
-
-    def __repr__(self) -> str:
-        return f"BoundaryPeer({self.name!r})"
 
 
 class OutputPort:
@@ -113,15 +87,6 @@ class OutputPort:
         #: packet, before any drop decision — the control plane's rate
         #: estimators measure offered (not accepted) load from these.
         self.on_arrival: List[TransmitHook] = []
-        #: Cross-shard egress hook: when set, transmit-complete calls
-        #: ``remote_receive(arrival_time, packet)`` instead of scheduling
-        #: the local propagation event — ``arrival_time`` is exactly the
-        #: ``now + link.delay`` the local schedule would have used, so
-        #: the receiving shard can replay the arrival bit-identically.
-        #: Interception happens at transmit-complete (not arrival) time
-        #: on purpose: an arrival landing exactly on the next barrier
-        #: must already be in flight at that barrier's exchange.
-        self.remote_receive: Optional[Callable[[float, Packet], None]] = None
         #: Optional ingress policer ``policer(packet) -> Optional[str]``:
         #: return a drop-reason string to refuse the packet (the overload
         #: governor demotes best-effort traffic this way), None to accept.
@@ -292,11 +257,7 @@ class OutputPort:
             hook(now, packet)
         # Propagation: the packet arrives at the peer delay seconds after
         # the last bit leaves; the line is immediately free for the next.
-        remote = self.remote_receive
-        if remote is None:
-            self.sim.schedule(self.link.delay, self.peer.receive, packet)
-        else:
-            remote(now + self.link.delay, packet)
+        self.sim.schedule(self.link.delay, self.peer.receive, packet)
         self._transmit_next()
 
     @property

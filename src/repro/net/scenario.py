@@ -218,7 +218,8 @@ class Network:
         ports: List[OutputPort] = []
         extra = flow_kwargs or {}
         try:
-            for port in self._flow_hop_ports(path):
+            for here, nxt in zip(path, path[1:]):
+                port = self.nodes[here].ports[nxt]
                 port_weight = weight
                 if weight == 0 and not port.scheduler.supports_zero_weight:
                     # Best-effort class: schedulers without an explicit f0
@@ -249,18 +250,6 @@ class Network:
         self.flows[flow_id] = spec
         self._seq[flow_id] = 0
         return spec
-
-    def _flow_hop_ports(self, path: List[str]) -> List[OutputPort]:
-        """The output ports a flow on ``path`` registers at — every hop.
-
-        The sharded builder (:class:`repro.shard.build.ShardNetwork`)
-        overrides this to the hops whose transmitting node it owns, so
-        ``add_flow`` keeps one copy of the install/rollback semantics.
-        """
-        return [
-            self.nodes[here].ports[nxt]
-            for here, nxt in zip(path, path[1:])
-        ]
 
     def remove_flow(self, flow_id: Hashable) -> None:
         """Tear a flow's state out of every port on its path.
@@ -368,19 +357,18 @@ class Network:
 # ---------------------------------------------------------------------------
 #
 # These return pure-data TopologySpec values (repro.shard.topology), not
-# live Networks: the same spec drives the single-process reference build
-# and every shard worker's slice (repro.shard.build), which is what makes
-# the sharded-vs-single digest equivalence well-defined. Group labels
-# follow the "router group" partition unit: everything hanging off one
-# router pair (or one fat-tree pod) shares a group, so intra-group links
-# never cross a shard boundary.
+# live Networks: repro.shard.build.build_network materialises one, and
+# the spec's signature names the exact scenario a run used. Group labels
+# mark router groups: everything hanging off one router pair (or one
+# fat-tree pod) shares a group.
 #
-# Tie hygiene: bit-identical sharding needs cross-boundary event-time
-# *ties* to be absent (see docs/sharding.md#determinism) — two packets
-# from different shards landing on one port at the same instant would be
-# ordered by engine seq, which sharding re-allocates. Both generators
-# therefore stagger per-flow CBR rates and start offsets by flow index,
-# so no two flows share an emission grid.
+# Tie hygiene: both generators stagger per-flow CBR rates and start
+# offsets by flow index, so no two flows share an emission grid. Packets
+# of different flows then rarely reach a port at the same instant, and a
+# port's service order is decided by its scheduler rather than by the
+# engine's sequence-number tie-break between simultaneous events. The
+# stagger is part of the spec's content: perfbench's fattree-drr-k6
+# golden is keyed by the spec signature, so it must not change.
 
 
 def _cbr_decl(
@@ -389,10 +377,10 @@ def _cbr_decl(
     """A CBR source whose rate and start offset are unique per flow.
 
     Pairwise-distinct rates (linear in the flow index) plus staggered
-    starts keep any two flows' emission instants from coinciding — the
-    tie-freedom the sharded engine's bit-identical digests rest on. The
-    increment is small enough that even a 512-flow fat-tree stays inside
-    aggregate capacity (max multiplier ~1.7x at index 511).
+    starts keep any two flows' emission instants from coinciding (see
+    "Tie hygiene" above). The increment is small enough that even a
+    512-flow fat-tree stays inside aggregate capacity (max multiplier
+    ~1.7x at index 511).
     """
     rate = rate_bps * (1.0 + 0.00131 * flow_index)
     start = 0.00173 * (flow_index + 1)
@@ -425,11 +413,10 @@ def dumbbell_of_dumbbells(
 
     Group ``g`` is hosts ``g{g}h*`` -> router ``g{g}L`` -> bottleneck ->
     router ``g{g}R`` -> sinks ``g{g}d*``; trunk links ``g{g}R -- g{g+1}L``
-    chain the groups. Trunks carry slightly distinct delays (the minimum,
-    ``trunk_delay``, is the lookahead window) so boundary-latency
-    diversity is exercised. Each host drives one intra-group flow and one
-    flow into the next group (the last group's wraps back across the
-    whole chain).
+    chain the groups. Trunks carry slightly distinct delays (the minimum
+    is ``trunk_delay``), so cross-group paths differ in latency. Each
+    host drives one intra-group flow and one flow into the next group
+    (the last group's wraps back across the whole chain).
     """
     if groups < 1 or hosts_per_group < 1:
         raise ConfigurationError(
@@ -511,10 +498,9 @@ def fat_tree(
     (k/2)^2 cores, k^3/4 hosts.
 
     Pod ``p`` is router group ``p``; core ``x`` joins group ``x % k``
-    (round-robin), so at ``--shards k`` every pod is a shard and the only
-    boundary links are agg<->core — all at ``core_delay``, which is
-    therefore the lookahead window. Every host sends ``flows_per_host``
-    flows to its positional mirror in the following pods.
+    (round-robin), so the only links between groups are agg<->core, all
+    at ``core_delay``. Every host sends ``flows_per_host`` flows to its
+    positional mirror in the following pods.
     """
     if k < 2 or k % 2:
         raise ConfigurationError(f"fat-tree arity must be even >= 2, got {k}")

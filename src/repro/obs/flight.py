@@ -44,7 +44,7 @@ to select the event-queue backend inside sweep workers.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "FLIGHT_ENV_VAR",
@@ -215,24 +215,6 @@ class FlightRecorder:
     def window(self, count: int = 64) -> List[Dict[str, Any]]:
         """The newest ``count`` records, oldest first (crash-dump view)."""
         return self.records()[-count:] if count > 0 else []
-
-    def pull_deltas(self) -> Tuple[List[int], List[int]]:
-        """(ops delta, WSS terms delta) of every held *pull* record.
-
-        With ``sample_shift=0`` and enough capacity this is the exact
-        per-dequeue cost series
-        :class:`~repro.obs.profile.DequeueProfiler` measures.
-        """
-        ops_out: List[int] = []
-        terms_out: List[int] = []
-        m = self.cap_mask
-        kinds, ops, terms = self.kind, self.ops, self.terms
-        for j in self._iter_indices():
-            i = j & m
-            if kinds[i] == KIND_PULL:
-                ops_out.append(ops[i])
-                terms_out.append(terms[i])
-        return ops_out, terms_out
 
     def snapshot(self, *, window: int = 0) -> Dict[str, Any]:
         """The recorder as a JSON-friendly ``obs["flight"]`` block."""

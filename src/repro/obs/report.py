@@ -64,8 +64,9 @@ def load_flight_block(path: str) -> Optional[Dict[str, Any]]:
     """The ``obs["flight"]`` block of one artifact, or ``None``.
 
     Unlike :func:`load_metrics_block` this is optional by design: the
-    flight recorder only arms on request (``--flight`` /
-    ``REPRO_FLIGHT``), so most artifacts legitimately have no block.
+    harness never writes the block (``--flight`` prints the recorder's
+    totals to stderr), so only an artifact whose producer stored a
+    :meth:`FlightRecorder.snapshot` carries one.
     """
     with open(path) as fh:
         data = json.load(fh)

@@ -28,7 +28,7 @@ from .telemetry import read_telemetry
 __all__ = ["collect_frames", "summarize", "render", "main"]
 
 #: Frame kinds that mark a source as finished (never flagged stalled).
-TERMINAL_KINDS = frozenset({"run_end", "sweep_end", "shard_end"})
+TERMINAL_KINDS = frozenset({"run_end", "sweep_end"})
 
 DEFAULT_STALL_AFTER_S = 10.0
 
@@ -115,27 +115,6 @@ def summarize(
                 "shed_per_s": _rate(control_frames, "shed"),
                 "revocations": last_control.get("revocations"),
             }
-        # Sharded-engine state from the newest "shard"/"shard_end" frame
-        # (one worker process per shard; horizon lag is filled in by the
-        # cross-source pass below once every shard's horizon is known).
-        shard = None
-        shard_frames = [
-            f for f in frames if f.get("kind") in ("shard", "shard_end")
-        ]
-        if shard_frames:
-            last_shard = shard_frames[-1]
-            windows = last_shard.get("windows") or 0
-            null_windows = last_shard.get("null_windows") or 0
-            shard = {
-                "shard": last_shard.get("shard"),
-                "window": last_shard.get("window"),
-                "horizon": last_shard.get("horizon"),
-                "horizon_lag": None,
-                "null_ratio": (
-                    null_windows / windows if windows else None
-                ),
-                "boundary_per_s": _rate(shard_frames, "boundary"),
-            }
         rows.append({
             "file": label,
             "pid": pid,
@@ -150,27 +129,11 @@ def summarize(
             ),
             "eta_s": eta,
             "control": control,
-            "shard": shard,
             "rss_kb": last.get("rss_kb"),
             "age_s": age,
             "finished": finished,
             "stalled": not finished and age > stall_after,
         })
-    # Horizon lag: how far each shard trails the front-most shard of the
-    # same run (same file). The laggard is the one holding the barrier.
-    front: Dict[str, float] = {}
-    for row in rows:
-        shard = row.get("shard")
-        if shard is not None and shard["horizon"] is not None:
-            front[row["file"]] = max(
-                front.get(row["file"], 0.0), shard["horizon"]
-            )
-    for row in rows:
-        shard = row.get("shard")
-        if shard is not None and shard["horizon"] is not None:
-            shard["horizon_lag"] = (
-                front[row["file"]] - shard["horizon"]
-            )
     return rows
 
 
@@ -201,16 +164,6 @@ def render(rows: List[Dict[str, Any]], *, title: str = "telemetry") -> str:
                 control += f"({c['shed_per_s']:.1f}/s)"
             if c["revocations"]:
                 control += f" rev:{c['revocations']}"
-        shard = "-"
-        if row.get("shard") is not None:
-            s = row["shard"]
-            shard = f"s{_cell(s['shard'])} w{_cell(s['window'])}"
-            if s["horizon_lag"] is not None:
-                shard += f" lag:{s['horizon_lag']:.3f}"
-            if s["null_ratio"] is not None:
-                shard += f" null:{s['null_ratio']:.0%}"
-            if s["boundary_per_s"]:
-                shard += f" b:{s['boundary_per_s']:,.0f}/s"
         table_rows.append([
             row["file"],
             row["pid"],
@@ -220,14 +173,13 @@ def render(rows: List[Dict[str, Any]], *, title: str = "telemetry") -> str:
             progress,
             _cell(row["eta_s"], "{:.0f}s"),
             control,
-            shard,
             _cell(row["rss_kb"]),
             f"{row['age_s']:.1f}s",
             status,
         ])
     return format_table(
         ["source", "pid", "last", "events", "sim_t", "points", "eta",
-         "control", "shard", "rss_kb", "age", "status"],
+         "control", "rss_kb", "age", "status"],
         table_rows,
         title=title,
     )

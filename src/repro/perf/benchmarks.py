@@ -1,6 +1,6 @@
 """The microbenchmark suite behind ``python -m repro.perf``.
 
-Four groups, each timing the layer above it:
+Three groups, each timing the layer above it:
 
 ``event_loop``
     Raw :class:`~repro.net.engine.Simulator` throughput (events/s) under
@@ -22,14 +22,6 @@ Four groups, each timing the layer above it:
     delivered) are not commensurable with the event-loop runs' events,
     the lean-vs-engine ratio is compared on mean *round time*
     (:func:`repro.perf.report.fastpath_speedup`), not throughput.
-
-``shard_scaling``
-    The conservative-lookahead sharded engine (:mod:`repro.shard`) on a
-    k=4 fat-tree at 1/2/4 shard processes — wall clock includes worker
-    spawn, per-shard build, every barrier and the final merge. On a
-    multi-core host the curve should bend toward linear; on a 1-core
-    host it measures pure protocol overhead. Either way the baseline
-    gate catches regressions in the barrier path.
 
 Each benchmark returns per-round wall times plus a work-item count, from
 which the report layer derives pytest-benchmark-compatible stats. Round
@@ -74,13 +66,6 @@ _DEQUEUE_PULLS = 20_000
 #: End-to-end scenario size: an SRR bottleneck at E5-like flow counts.
 _E2E_FLOWS = 256
 _E2E_UNTIL = 2.0
-
-#: Shard-scaling sweep: a k=4 fat-tree run whole, then split across
-#: processes. Wall time includes worker spawn + per-shard build — the
-#: real cost a sharded run pays.
-_SHARD_COUNTS = (1, 2, 4)
-_SHARD_FAT_TREE_K = 4
-_SHARD_UNTIL = 0.4
 
 
 class Benchmark:
@@ -198,21 +183,6 @@ def _e2e_fast_round(n_flows: int, until: float) -> Tuple[float, int]:
     return elapsed, run.forwarded
 
 
-def _shard_round(shards: int, until: float) -> Tuple[float, int]:
-    """One sharded round: a fat-tree run on ``shards`` processes.
-
-    Uses run_sharded's own wall clock (spawn + build + barriers + merge)
-    and asserts nothing about digests — the equivalence tests and the CI
-    digest job own correctness; this group owns the scaling curve.
-    """
-    from ..net.scenario import fat_tree
-    from ..shard.engine import run_sharded
-
-    spec = fat_tree(k=_SHARD_FAT_TREE_K)
-    result = run_sharded(spec, until=until, shards=shards)
-    return result.wall_time_s, result.events
-
-
 def all_benchmarks() -> List[Benchmark]:
     """The full suite, in report order."""
     benches: List[Benchmark] = []
@@ -255,16 +225,6 @@ def all_benchmarks() -> List[Benchmark]:
         rounds=3,
         quick_rounds=1,
     ))
-    for shards in _SHARD_COUNTS:
-        benches.append(Benchmark(
-            "shard_scaling",
-            f"shard[fat_tree-k{_SHARD_FAT_TREE_K}-s{shards}]",
-            {"shards": shards, "k": _SHARD_FAT_TREE_K,
-             "until": _SHARD_UNTIL},
-            lambda shards=shards: _shard_round(shards, _SHARD_UNTIL),
-            rounds=3,
-            quick_rounds=1,
-        ))
     return benches
 
 

@@ -19,7 +19,6 @@ from .report import (
     build_document,
     compare,
     fastpath_speedup,
-    shard_speedup,
     speedup_summary,
 )
 
@@ -59,10 +58,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--group", action="append", default=None, metavar="NAME",
-        choices=(
-            "event_loop", "scheduler_dequeue", "end_to_end",
-            "shard_scaling",
-        ),
+        choices=("event_loop", "scheduler_dequeue", "end_to_end"),
         help="run only this benchmark group (repeatable); note a "
              "baseline comparison then fails its other groups as missing",
     )
@@ -142,11 +138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     for group, ratio in sorted(fastpath_speedup(doc).items()):
         print(
             f"lean replay vs event engine [{group}]: {ratio:.2f}x",
-            file=sys.stderr,
-        )
-    for shards, ratio in sorted(shard_speedup(doc).items()):
-        print(
-            f"{shards} shards vs 1 [shard_scaling]: {ratio:.2f}x",
             file=sys.stderr,
         )
 

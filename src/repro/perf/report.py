@@ -21,7 +21,6 @@ from .benchmarks import BenchResult
 
 __all__ = [
     "build_document", "compare", "speedup_summary", "fastpath_speedup",
-    "shard_speedup",
 ]
 
 SCHEMA = "repro.perf/bench/v1"
@@ -156,31 +155,6 @@ def fastpath_speedup(doc: Dict[str, Any]) -> Dict[str, float]:
         if obj_mean and fast_mean:
             out[group] = obj_mean / fast_mean
     return out
-
-
-def shard_speedup(doc: Dict[str, Any]) -> Dict[int, float]:
-    """Sharded-run speedups vs the 1-shard reference, by shard count.
-
-    Compares mean round times within the ``shard_scaling`` group:
-    ``{2: 1.6, 4: 2.8}`` means 2 shards ran 1.6x faster than the same
-    workload on one process. Values below 1.0 are expected on single-core
-    hosts (the protocol costs, the parallelism pays nothing).
-    """
-    means: Dict[int, float] = {}
-    for bench in doc.get("benchmarks", []):
-        if bench.get("group") != "shard_scaling":
-            continue
-        shards = bench.get("params", {}).get("shards")
-        mean = bench.get("stats", {}).get("mean", 0.0)
-        if shards is not None and mean > 0:
-            means[int(shards)] = mean
-    base = means.get(1)
-    if not base:
-        return {}
-    return {
-        shards: base / mean
-        for shards, mean in means.items() if shards != 1
-    }
 
 
 def compare(

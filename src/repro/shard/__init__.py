@@ -1,69 +1,16 @@
-"""repro.shard: multi-process sharded simulation with conservative lookahead.
+"""repro.shard: pure-data topology specs, their reference build, and digests.
 
-Partition a multi-hop topology (:class:`~repro.shard.topology.TopologySpec`,
-built by the generators in :mod:`repro.net.scenario`) into one shard per
-router group, run each shard on its own :class:`~repro.net.engine.Simulator`
-in its own process, and exchange boundary packets over ``multiprocessing``
-pipes under barrier-synchronised windows equal to the minimum inter-shard
-link latency. See ``docs/sharding.md`` for the protocol and determinism
-rules.
+* :mod:`repro.shard.topology` — :class:`~repro.shard.topology.TopologySpec`,
+  an ordered, picklable, signature-hashable description of a multi-hop
+  scenario (the generators in :mod:`repro.net.scenario` produce them);
+* :mod:`repro.shard.build` — :func:`~repro.shard.build.build_network`,
+  which materialises a spec as one :class:`~repro.net.scenario.Network`;
+* :mod:`repro.shard.digest` — sha256 delivery-stream digests, the
+  bit-identity check between two runs of the same spec.
 
-Submodules are imported lazily (PEP 562) so that pure-data layers —
-``repro.shard.topology`` is imported by ``repro.net.scenario`` for the
-topology generators — never drag the engine/build machinery (which itself
-imports ``repro.net``) into an import cycle.
+The package once also held a multi-process sharded engine; its name stays
+because these import paths are public (the ``perfbench`` workloads and
+their spec-keyed goldens import them). Import from the submodules: the
+package root exports nothing, so :mod:`repro.net.scenario` can import
+:mod:`repro.shard.topology` without a cycle through :mod:`repro.net`.
 """
-
-from __future__ import annotations
-
-__all__ = [
-    "TopologySpec",
-    "NodeSpec",
-    "LinkSpec",
-    "FlowDecl",
-    "SourceDecl",
-    "ShardPlan",
-    "partition_topology",
-    "ShardNetwork",
-    "build_network",
-    "build_shard_network",
-    "ShardError",
-    "ShardRunResult",
-    "run_sharded",
-    "delivery_digest",
-    "network_delivery_digest",
-]
-
-_EXPORTS = {
-    "TopologySpec": "topology",
-    "NodeSpec": "topology",
-    "LinkSpec": "topology",
-    "FlowDecl": "topology",
-    "SourceDecl": "topology",
-    "ShardPlan": "partition",
-    "partition_topology": "partition",
-    "ShardNetwork": "build",
-    "build_network": "build",
-    "build_shard_network": "build",
-    "ShardError": "engine",
-    "ShardRunResult": "engine",
-    "run_sharded": "engine",
-    "delivery_digest": "digest",
-    "network_delivery_digest": "digest",
-}
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

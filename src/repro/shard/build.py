@@ -1,60 +1,21 @@
-"""Materialise a TopologySpec: full reference build, or one shard's slice.
+"""Materialise a TopologySpec as one :class:`~repro.net.scenario.Network`.
 
-:func:`build_network` is the single-process reference: a plain
-:class:`~repro.net.scenario.Network` with every node, link, flow and
-source from the spec, added in spec order (the ordering IS the
-determinism contract — engine sequence numbers are allocated in add
-order).
-
-:class:`ShardNetwork` builds one shard's slice of the same spec. Every
-*node* exists as an object (global routing tables are computed from the
-full adjacency, so a shard routes packets toward destinations it does
-not own), but transmit machinery is instantiated only where this shard
-owns the transmitting node:
-
-* local -> local directions build normal ports;
-* local -> remote directions build a *boundary port*: a real scheduler
-  and transmitter whose peer is a :class:`~repro.net.port.BoundaryPeer`
-  proxy and whose :attr:`~repro.net.port.OutputPort.remote_receive`
-  hook banks departures into :attr:`ShardNetwork.boundary_out` for the
-  next barrier exchange;
-* remote -> anything contributes only an adjacency edge (routing
-  knowledge costs a tuple, not a scheduler).
-
-Flows register only at locally-owned hops (the
-``Network._flow_hop_ports`` override), and sources attach only when this
-shard owns the flow's source host. A 1-shard plan therefore builds the
-identity: every direction is local -> local, no proxy ports exist, and
-the result is indistinguishable from :func:`build_network` — the
-partitioner tests pin this.
+:func:`build_network` adds every node, link, flow and source of the spec
+in spec order. The ordering IS the determinism contract: engine sequence
+numbers and scheduler state are allocated in add order, so two builds of
+the same spec run bit-identically on either event-queue backend.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..core.errors import ConfigurationError
-from ..core.packet import Packet
 from ..net import sources as _sources
-from ..net.link import Link
-from ..net.port import BoundaryPeer, OutputPort
 from ..net.scenario import Network
-from .partition import ShardPlan
 from .topology import SOURCE_KINDS, TopologySpec
 
-__all__ = [
-    "BoundaryRecord",
-    "ShardNetwork",
-    "build_network",
-    "build_shard_network",
-    "make_source",
-]
-
-#: One cross-shard departure, banked between barriers:
-#: (dest_shard, arrival_time, depart_time, origin_shard, egress_seq,
-#:  dst_node, packet). Receivers sort arrivals by (depart_time,
-#: origin_shard, egress_seq) — the deterministic cross-shard tie-break.
-BoundaryRecord = Tuple[int, float, float, int, int, str, Packet]
+__all__ = ["build_network", "make_source"]
 
 
 def make_source(kind: str, params: Dict[str, object]):
@@ -69,8 +30,15 @@ def make_source(kind: str, params: Dict[str, object]):
     return cls(**params)
 
 
-def _populate(net: Network, spec: TopologySpec) -> None:
-    """Add the spec's content to ``net`` in spec order."""
+def build_network(
+    spec: TopologySpec, *, engine: Optional[str] = None
+) -> Network:
+    """The reference build of ``spec``: its content added in spec order."""
+    net = Network(
+        default_scheduler=spec.default_scheduler,
+        default_scheduler_kwargs=dict(spec.default_scheduler_kwargs),
+        engine=engine,
+    )
     for node in spec.nodes:
         net.add_node(node.name)
     for link in spec.links:
@@ -89,180 +57,4 @@ def _populate(net: Network, spec: TopologySpec) -> None:
         )
     for decl in spec.sources:
         net.attach_source(decl.flow_id, make_source(decl.kind, decl.kwargs()))
-
-
-def build_network(
-    spec: TopologySpec, *, engine: Optional[str] = None
-) -> Network:
-    """The single-process reference build of ``spec``."""
-    net = Network(
-        default_scheduler=spec.default_scheduler,
-        default_scheduler_kwargs=dict(spec.default_scheduler_kwargs),
-        engine=engine,
-    )
-    _populate(net, spec)
     return net
-
-
-class ShardNetwork(Network):
-    """One shard's slice of a partitioned topology."""
-
-    def __init__(
-        self,
-        plan: ShardPlan,
-        shard_id: int,
-        *,
-        engine: Optional[str] = None,
-    ) -> None:
-        if not 0 <= shard_id < plan.n_shards:
-            raise ConfigurationError(
-                f"shard_id {shard_id} outside 0..{plan.n_shards - 1}"
-            )
-        super().__init__(
-            default_scheduler=plan.spec.default_scheduler,
-            default_scheduler_kwargs=dict(plan.spec.default_scheduler_kwargs),
-            engine=engine,
-        )
-        self.plan = plan
-        self.shard_id = shard_id
-        #: Departures towards other shards since the last drain.
-        self.boundary_out: List[BoundaryRecord] = []
-        #: Boundary ports owned by this shard (observability/tests).
-        self.boundary_ports: List[OutputPort] = []
-        # Per-shard egress counter: the third cross-shard tie-break key,
-        # mirroring the order the single-process engine would have
-        # allocated propagation-event seqs at this transmitter.
-        self._egress_seq = 0
-        _populate(self, plan.spec)
-
-    # -- construction overrides ---------------------------------------------
-
-    def _is_local(self, name: str) -> bool:
-        return self.plan.shard_of[name] == self.shard_id
-
-    def _add_direction(
-        self,
-        src: str,
-        dst: str,
-        rate_bps: float,
-        delay: float,
-        scheduler,
-        scheduler_kwargs,
-        cost: float,
-        buffer_packets: Optional[int] = None,
-    ) -> None:
-        if not self._is_local(src):
-            # Remote transmitter: the edge matters for (global) routing,
-            # nothing else.
-            for name in (src, dst):
-                if name not in self.nodes:
-                    raise ConfigurationError(f"unknown node {name!r}")
-            self.adjacency[src].append((dst, cost))
-            self._routes_current = False
-            return
-        if self._is_local(dst):
-            super()._add_direction(
-                src, dst, rate_bps, delay, scheduler, scheduler_kwargs,
-                cost, buffer_packets,
-            )
-            return
-        # Boundary direction: local scheduler + transmitter, remote
-        # receiver. The Link is flagged so its propagation leg is known
-        # to run in the peer shard.
-        for name in (src, dst):
-            if name not in self.nodes:
-                raise ConfigurationError(f"unknown node {name!r}")
-        if dst in self.nodes[src].ports:
-            raise ConfigurationError(f"link {src!r}->{dst!r} already exists")
-        sched = self._make_scheduler(scheduler, scheduler_kwargs)
-        port = OutputPort(
-            self.sim,
-            Link(rate_bps, delay, boundary=True),
-            sched,
-            BoundaryPeer(dst),
-            name=f"{src}->{dst}",
-            buffer_packets=buffer_packets,
-        )
-        port.remote_receive = self._egress_fn(dst)
-        self.nodes[src].ports[dst] = port
-        self.boundary_ports.append(port)
-        self.adjacency[src].append((dst, cost))
-        self._routes_current = False
-
-    def _egress_fn(self, dst: str):
-        dest_shard = self.plan.shard_of[dst]
-        origin = self.shard_id
-
-        def egress(arrival_time: float, packet: Packet) -> None:
-            seq = self._egress_seq
-            self._egress_seq = seq + 1
-            self.boundary_out.append((
-                dest_shard, arrival_time, self.sim.now, origin, seq,
-                dst, packet,
-            ))
-
-        return egress
-
-    def _flow_hop_ports(self, path: List[str]) -> List[OutputPort]:
-        # Only hops whose transmitting node this shard owns carry
-        # scheduler state here; the rest of the path is other shards'
-        # business (each installs its own hops from the same spec).
-        return [
-            self.nodes[here].ports[nxt]
-            for here, nxt in zip(path, path[1:])
-            if self._is_local(here)
-        ]
-
-    def attach_source(self, flow_id, source, *, shaper=None):
-        spec = self.flows.get(flow_id)
-        if spec is None:
-            raise ConfigurationError(
-                f"add_flow({flow_id!r}, ...) before attaching a source"
-            )
-        if not self._is_local(spec.src):
-            # Remote ingress: the shard owning the source host drives it.
-            return source
-        return super().attach_source(flow_id, source, shaper=shaper)
-
-    # -- barrier-side API ----------------------------------------------------
-
-    def drain_boundary(self) -> List[BoundaryRecord]:
-        """Take (and clear) the departures banked since the last drain."""
-        out = self.boundary_out
-        self.boundary_out = []
-        return out
-
-    def inject_arrivals(
-        self, arrivals: List[BoundaryRecord]
-    ) -> int:
-        """Schedule cross-shard arrivals received at a barrier.
-
-        Sorted by (depart_time, origin_shard, egress_seq) before
-        scheduling — the deterministic tie-break that mirrors the order
-        the single-process engine allocated these propagation events.
-        Arrival events are scheduled *before* the window runs, so among
-        same-timestamp events they fire before anything the window
-        schedules later (matching single-process, where the propagation
-        event predates the window too).
-        """
-        arrivals.sort(key=lambda r: (r[2], r[3], r[4]))
-        schedule_at = self.sim.schedule_at
-        nodes = self.nodes
-        for _, arrival_time, _, _, _, dst, packet in arrivals:
-            schedule_at(arrival_time, nodes[dst].receive, packet)
-        return len(arrivals)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardNetwork(shard={self.shard_id}/{self.plan.n_shards}, "
-            f"nodes={len(self.nodes)}, "
-            f"boundary_ports={len(self.boundary_ports)}, "
-            f"t={self.sim.now:.3f}s)"
-        )
-
-
-def build_shard_network(
-    plan: ShardPlan, shard_id: int, *, engine: Optional[str] = None
-) -> ShardNetwork:
-    """Build shard ``shard_id``'s slice of ``plan``."""
-    return ShardNetwork(plan, shard_id, engine=engine)

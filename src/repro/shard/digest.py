@@ -1,4 +1,4 @@
-"""Delivery-stream digests: the sharded-vs-single equivalence oracle.
+"""Delivery-stream digests: bit-identity of two runs of one scenario.
 
 The digest is a sha256 over every flow's ordered per-packet delivery
 stream — ``(seq, size, created_at, delivered_at)`` per delivered packet,
@@ -8,10 +8,9 @@ records are bit-identical, the same standard the conformance fuzzer's
 ``check_seed`` holds heap-vs-calendar runs to.
 
 ``Packet.uid`` is deliberately excluded: it is a process-global counter,
-so a packet created in shard 3's worker and "the same" packet in the
-single-process run carry different uids while being semantically
-identical. Everything the analyses consume (delay, throughput, ordering)
-is a function of the hashed fields.
+so "the same" packet carries a different uid in a second run within one
+process. Everything the analyses consume (delay, throughput, ordering) is
+a function of the hashed fields.
 """
 
 from __future__ import annotations

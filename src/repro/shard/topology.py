@@ -1,26 +1,23 @@
-"""Pure-data topology specifications for the sharded engine.
+"""Pure-data topology specifications.
 
-A :class:`TopologySpec` is the picklable, process-portable description of
-a whole experiment scenario: nodes (each labelled with a *router group*),
-links, flows and traffic sources. It deliberately imports nothing from
-:mod:`repro.net` — every shard worker receives the spec over a pipe and
-materialises its own :class:`~repro.net.scenario.Network` slice from it
-(:mod:`repro.shard.build`), and the single-process reference build uses
-the very same spec, which is what makes the sharded-vs-single digest
-equivalence a meaningful statement.
+A :class:`TopologySpec` is the picklable description of a whole
+multi-hop scenario: nodes (each labelled with a *router group*), links,
+flows and traffic sources. It deliberately imports nothing from
+:mod:`repro.net`, so :mod:`repro.net.scenario` can return specs from its
+generators; :func:`repro.shard.build.build_network` materialises one.
 
 Determinism contract: a spec is an *ordered* value. Nodes, links, flows
-and sources are tuples, and every builder iterates them in spec order,
-so two builds of the same spec allocate engine sequence numbers and
+and sources are tuples, and the builder iterates them in spec order, so
+two builds of the same spec allocate engine sequence numbers and
 scheduler state in exactly the same order. :meth:`TopologySpec.signature`
-hashes that ordered content — artifact provenance for sharded runs, the
-same role :func:`FaultPlan.signature` plays for fault schedules.
+hashes that ordered content — run provenance (perfbench keys its goldens
+by it), the same role :func:`FaultPlan.signature` plays for fault
+schedules.
 
 Source declarations are data, not live objects: ``SourceDecl(kind,
 params)`` names a :mod:`repro.net.sources` class by registry key with
 its constructor kwargs (seeds included), so a spec carries its entire
-randomness budget explicitly and a shard worker can rebuild byte-equal
-sources without the parent pickling bound callbacks.
+randomness budget explicitly and every build gets byte-equal sources.
 """
 
 from __future__ import annotations
@@ -43,9 +40,9 @@ __all__ = [
 #: Source registry keys a :class:`SourceDecl` may name, mapped to the
 #: class names in :mod:`repro.net.sources` (resolved lazily by the
 #: builder; this module never imports repro.net). ``WindowSource`` is
-#: deliberately absent: a closed-loop source needs same-process delivery
-#: feedback, which a cross-shard path cannot provide — see
-#: ``docs/sharding.md`` ("when not to shard").
+#: deliberately absent: a closed-loop source's emissions depend on
+#: delivery feedback, so its offered load is not fixed by its declaration
+#: and it has no arrival envelope to carry through a path.
 SOURCE_KINDS: Dict[str, str] = {
     "cbr": "CBRSource",
     "poisson": "PoissonSource",
@@ -57,12 +54,11 @@ SOURCE_KINDS: Dict[str, str] = {
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """One node; ``group`` is the partitioner's placement label.
+    """One node; ``group`` is its router-group label.
 
-    Nodes sharing a group are guaranteed to land in the same shard, so a
-    group should be a router plus everything directly attached to it
-    (the classic "router group" PDES partition): links *inside* a group
-    never cross a shard boundary regardless of the shard count.
+    A group is a router plus everything directly attached to it (one
+    dumbbell, one fat-tree pod). The build ignores it; it is part of the
+    spec's content, and therefore of its signature.
     """
 
     name: str

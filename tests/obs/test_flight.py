@@ -63,13 +63,6 @@ class TestRingBuffer:
             "credit": 4.5, "occupancy": 6, "dt": 1.5,
         }
 
-    def test_pull_deltas_filters_pushes(self):
-        rec = FlightRecorder(capacity=8, sample_shift=0)
-        rec.record(0, 0, 100, 9, 9, 0.0, 1)   # push: excluded
-        rec.record(1, 0, 100, 2, 1, 0.0, 0)
-        rec.record(1, 1, 100, 3, 2, 0.0, 0)
-        assert rec.pull_deltas() == ([2, 3], [1, 2])
-
     def test_clear_reuses_storage(self):
         rec = FlightRecorder(capacity=4, sample_shift=0)
         rec.n = 10
@@ -225,7 +218,9 @@ class TestNetloopSampling:
         rec = FlightRecorder(capacity=1 << 15, sample_shift=0)
         set_flight_recorder(rec)
         run = self.run()
-        ops, terms = rec.pull_deltas()
+        pulls = [r for r in rec.records() if r["kind"] == "pull"]
+        ops = [r["ops"] for r in pulls]
+        terms = [r["terms"] for r in pulls]
         assert len(ops) == run.total_delivered
         # The paper's WSS bound: at most two terms examined per packet.
         assert max(terms) <= 2

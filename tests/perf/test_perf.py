@@ -176,13 +176,10 @@ class TestCompare:
 
 
 class TestSuiteDefinition:
-    def test_all_benchmarks_cover_the_four_groups(self):
+    def test_all_benchmarks_cover_the_three_groups(self):
         benches = all_benchmarks()
         groups = {b.group for b in benches}
-        assert groups == {
-            "event_loop", "scheduler_dequeue", "end_to_end",
-            "shard_scaling",
-        }
+        assert groups == {"event_loop", "scheduler_dequeue", "end_to_end"}
         names = [b.name for b in benches]
         assert len(names) == len(set(names))  # names are unique keys
         # Both engines appear in both engine-sensitive groups (the
@@ -201,32 +198,6 @@ class TestSuiteDefinition:
             for n in (16, 512, 4096):
                 assert f"dequeue[{sched}-n{n}]" in names
         assert not [n for n in names if ":" in n]
-        # The shard-scaling sweep includes the 1-shard reference every
-        # speedup is computed against.
-        shard_counts = {
-            b.params["shards"] for b in benches
-            if b.group == "shard_scaling"
-        }
-        assert shard_counts == {1, 2, 4}
-
-    def test_shard_speedup_summary(self):
-        from repro.perf.report import shard_speedup
-
-        def fake(shards, mean):
-            return {
-                "group": "shard_scaling",
-                "name": f"shard[s{shards}]",
-                "params": {"shards": shards},
-                "stats": {"mean": mean},
-                "extra_info": {},
-            }
-
-        doc = {"benchmarks": [fake(1, 4.0), fake(2, 2.0), fake(4, 1.0)]}
-        assert shard_speedup(doc) == {2: 2.0, 4: 4.0}
-        # No 1-shard reference -> no ratios.
-        assert shard_speedup(
-            {"benchmarks": [fake(4, 1.0)]}
-        ) == {}
 
 
 class TestCli:

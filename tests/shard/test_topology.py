@@ -62,8 +62,9 @@ class TestValidation:
             tiny_spec(sources=(SourceDecl("f1", "quantum", ()),))
 
     def test_window_source_not_offered(self):
-        # Closed-loop sources cannot cross shard boundaries; the spec
-        # vocabulary must not offer them.
+        # A closed-loop source's offered load depends on delivery
+        # feedback, not on its declaration; the spec vocabulary must not
+        # offer one.
         from repro.shard.topology import SOURCE_KINDS
         assert "window" not in SOURCE_KINDS
 
