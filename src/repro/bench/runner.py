@@ -204,13 +204,6 @@ def main(argv: List[str] = None) -> int:
              "probabilistically (e14 default 0.90)",
     )
     parser.add_argument(
-        "--flight", type=int, nargs="?", const=6, default=None,
-        metavar="SHIFT",
-        help="arm the process-wide flight recorder at 1-in-2^SHIFT "
-             "sampling (default shift 6 = 1/64); the recording totals "
-             "are printed to stderr on exit",
-    )
-    parser.add_argument(
         "--telemetry", metavar="PATH", default=None,
         help="append live heartbeat frames (JSONL) to PATH from this "
              "process and every sweep worker; watch them with "
@@ -221,11 +214,6 @@ def main(argv: List[str] = None) -> int:
     import os
 
     from ..harness import write_artifact
-    from ..obs.flight import (
-        FLIGHT_ENV_VAR,
-        FlightRecorder,
-        set_flight_recorder,
-    )
     from ..obs.telemetry import (
         TELEMETRY_ENV_VAR,
         get_telemetry,
@@ -276,19 +264,11 @@ def main(argv: List[str] = None) -> int:
             raise ConfigurationError(
                 f"{flag} is not supported by {', '.join(unsupported)}"
             )
-    # Observability plumbing: both are env-var activated so sweep pool
-    # workers (fresh processes) pick them up on their own.
-    saved_env = {}
-    recorder = None
-    previous_recorder = None
-    if args.flight is not None:
-        recorder = FlightRecorder(sample_shift=args.flight)
-        previous_recorder = set_flight_recorder(recorder)
-        saved_env[FLIGHT_ENV_VAR] = os.environ.get(FLIGHT_ENV_VAR)
-        os.environ[FLIGHT_ENV_VAR] = str(args.flight)
+    # Telemetry is env-var activated so sweep pool workers (fresh
+    # processes) pick it up on their own.
     telemetry = None
     if args.telemetry is not None:
-        saved_env[TELEMETRY_ENV_VAR] = os.environ.get(TELEMETRY_ENV_VAR)
+        saved_env = os.environ.get(TELEMETRY_ENV_VAR)
         os.environ[TELEMETRY_ENV_VAR] = args.telemetry
         set_telemetry(None)
         telemetry = get_telemetry()
@@ -340,22 +320,14 @@ def main(argv: List[str] = None) -> int:
             print(f"wrote {written} trace events to {args.trace} "
                   f"({tracer.dropped} dropped by the ring buffer)",
                   file=sys.stderr)
-        if recorder is not None:
-            set_flight_recorder(previous_recorder)
-            snap = recorder.snapshot()
-            print(f"flight recorder: {snap['recorded']} records "
-                  f"({snap['ops_seen']} ops seen at 1/"
-                  f"{snap['sample_rate']} sampling, "
-                  f"{snap['dropped']} overwritten)", file=sys.stderr)
         if telemetry is not None:
             telemetry.frame("run_end", experiments=names)
             telemetry.close()
             set_telemetry(None)
-        for var, prev in saved_env.items():
-            if prev is None:
-                os.environ.pop(var, None)
+            if saved_env is None:
+                os.environ.pop(TELEMETRY_ENV_VAR, None)
             else:
-                os.environ[var] = prev
+                os.environ[TELEMETRY_ENV_VAR] = saved_env
     if args.json:
         print(json.dumps(payloads[0] if len(payloads) == 1 else payloads,
                          indent=2))

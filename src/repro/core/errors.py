@@ -68,8 +68,8 @@ class SLOViolation(ReproError):
     (or an explicit per-class target). Structured the same way so
     failures are diagnosable from the exception alone — the flow and its
     service class, the observed delay vs the target, a ``details`` dict,
-    and the trace/flight windows leading up to the late delivery when a
-    tracer or flight recorder was active.
+    and the trace window leading up to the late delivery when a tracer
+    was active.
     """
 
     def __init__(
@@ -80,7 +80,6 @@ class SLOViolation(ReproError):
         service_class: str = "?",
         details: object = None,
         trace_window: object = None,
-        flight_window: object = None,
     ) -> None:
         self.flow_id = flow_id
         self.observed_s = observed_s
@@ -88,7 +87,6 @@ class SLOViolation(ReproError):
         self.service_class = service_class
         self.details = dict(details or {})
         self.trace_window = list(trace_window or [])
-        self.flight_window = list(flight_window or [])
         parts = [
             f"SLO violated for flow {flow_id!r} [{service_class}]: "
             f"observed {observed_s * 1e3:.3f} ms > "
@@ -100,10 +98,6 @@ class SLOViolation(ReproError):
             )
         if self.trace_window:
             parts.append(f"last {len(self.trace_window)} trace events attached")
-        if self.flight_window:
-            parts.append(
-                f"last {len(self.flight_window)} flight records attached"
-            )
         super().__init__(" — ".join(parts))
 
 
@@ -112,10 +106,8 @@ class InvariantViolation(ReproError):
 
     Structured so failures are diagnosable from the exception alone: the
     named ``check`` that fired, the scheduler it fired on, a ``details``
-    dict with the offending values, and — when a tracer or flight
-    recorder was active — the ``trace_window`` of packet events and/or
-    ``flight_window`` of sampled scheduler records leading up to the
-    violation.
+    dict with the offending values, and — when a tracer was active — the
+    ``trace_window`` of packet events leading up to the violation.
     """
 
     def __init__(
@@ -124,13 +116,11 @@ class InvariantViolation(ReproError):
         scheduler: str = "?",
         details: object = None,
         trace_window: object = None,
-        flight_window: object = None,
     ) -> None:
         self.check = check
         self.scheduler = scheduler
         self.details = dict(details or {})
         self.trace_window = list(trace_window or [])
-        self.flight_window = list(flight_window or [])
         parts = [f"invariant {check!r} violated on scheduler {scheduler!r}"]
         if self.details:
             parts.append(
@@ -138,8 +128,4 @@ class InvariantViolation(ReproError):
             )
         if self.trace_window:
             parts.append(f"last {len(self.trace_window)} trace events attached")
-        if self.flight_window:
-            parts.append(
-                f"last {len(self.flight_window)} flight records attached"
-            )
         super().__init__(" — ".join(parts))

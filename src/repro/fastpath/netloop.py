@@ -40,7 +40,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..core.errors import ConfigurationError
-from ..obs.flight import KIND_PULL, KIND_PUSH
 from ..obs.trace import get_tracer
 from ..schedulers.registry import create_scheduler
 from . import FAST_CORES
@@ -131,9 +130,7 @@ def run_single_bottleneck_fast(
         raise ConfigurationError(
             "packet tracing is not available in the lean loop: it has no "
             "per-hop events or Packet objects to trace. Run the scenario "
-            "on the event engine for full traces, or use the flight "
-            "recorder (repro.obs.flight / REPRO_FLIGHT) for sampled "
-            "scheduler records"
+            "on the event engine (single_bottleneck_network) to trace it"
         )
     sched = create_scheduler(scheduler, quantum=packet_size)
     unit = background_rate_bps  # the scenario's weight unit
@@ -160,30 +157,6 @@ def run_single_bottleneck_fast(
     push = sched.push
     pull = sched.pull
     pull_batch = sched.pull_batch
-    # When a flight recorder is armed, feed it the burst clock so its
-    # records carry sim-time deltas (one attribute store per burst, not
-    # per packet; None and untouched when recording is off). At sampling
-    # shifts > 0 the loop also takes over push-side and batch-pull
-    # sampling at *burst* granularity: arrivals come in known-size
-    # bursts and back-to-back completions in known-size batches, so the
-    # per-operation counter bump of the armed twin (~40ns x every
-    # packet) is replaced by one counter jump per burst/batch against
-    # the bare methods — zero per-packet cost, same 1-in-2**shift record
-    # rate. Sampled batch items carry *call-averaged* ops/terms deltas
-    # (monitoring fidelity); single pulls stay on the twin wrapper and
-    # keep exact per-dequeue deltas. Exhaustive mode (shift 0) keeps the
-    # fully instrumented twin paths, so every pull carries its exact
-    # ops/terms deltas.
-    flight = sched._flight
-    burst_sampling = flight is not None and flight.mask != 0
-    if burst_sampling:
-        base_cls = type(sched)._flight_base
-        push = base_cls.push.__get__(sched)
-        bare_pull = base_cls.pull.__get__(sched)
-        pull_batch = base_cls.pull_batch.__get__(sched)
-        flight_mask = flight.mask
-        sched_ops = sched._ops
-        flows = sched._slots
     emitted = run.emitted
     delivered = run.delivered
     delivered_bytes = run.delivered_bytes
@@ -248,11 +221,6 @@ def run_single_bottleneck_fast(
             nxt = bg_n * bg_interval
             bg_t = nxt if nxt <= until else None
 
-        if flight is not None:
-            flight.now = t_emit
-        skipped = 0
-        sc = 0  # single pulls this burst (burst-mode bulk accounting)
-
         for slot, created in pending:
             # Access hop: FIFO serialization + propagation. The engine
             # only forwards the packet if both the completion and the
@@ -262,7 +230,6 @@ def run_single_bottleneck_fast(
             access_free = fin
             t = fin + prop_a
             if t > until:
-                skipped += 1
                 continue
             # Serve bottleneck completions up to the arrival instant.
             # Each completion delivers the wire packet and pulls the
@@ -275,37 +242,7 @@ def run_single_bottleneck_fast(
                 if k >= 1:
                     # The next k pulls complete at free_at + i*ser_b,
                     # all inside [free_at, t].
-                    if burst_sampling:
-                        # Bare batch call; account all its pulls in one
-                        # counter jump and record any items that landed
-                        # on a sampling point (flow state read
-                        # post-batch, ops/terms averaged over the call
-                        # — see docs/observability.md).
-                        ops0 = sched_ops.count
-                        terms0 = getattr(sched, "terms_scanned", 0)
-                        batch = pull_batch(k)
-                        nb = len(batch)
-                        if nb:
-                            n0 = flight.n
-                            flight.n = n0 + nb
-                            off = flight_mask - (n0 & flight_mask)
-                            if off < nb:
-                                ops_avg = (sched_ops.count - ops0) // nb
-                                terms_avg = (
-                                    getattr(sched, "terms_scanned", 0)
-                                    - terms0
-                                ) // nb
-                                while off < nb:
-                                    s, sz, _c = batch[off]
-                                    flow = flows[s]
-                                    flight.record(
-                                        KIND_PULL, s, sz, ops_avg,
-                                        terms_avg, flow.deficit,
-                                        len(flow.queue),
-                                    )
-                                    off += flight_mask + 1
-                    else:
-                        batch = pull_batch(k)
+                    batch = pull_batch(k)
                     for slot_i, _sz, created_i in batch:
                         free_at += ser_b
                         deliver(slot_i, created_i, free_at)
@@ -313,19 +250,7 @@ def run_single_bottleneck_fast(
                     if len(batch) < k:
                         busy = False
                         break
-                # The follow-up single pull is the hottest pull site;
-                # in burst mode it runs the bare pull and is counted in
-                # bulk once per burst (below) — no per-pull recorder
-                # code at all. Sampled records then come only from
-                # batch items and pushes, which carry ~90% of the
-                # operation volume here. (The rare become-busy and
-                # drain pulls stay on the twin wrapper and keep exact
-                # per-dequeue sampling.)
-                if burst_sampling:
-                    sc += 1
-                    nxt_p = bare_pull()
-                else:
-                    nxt_p = pull()
+                nxt_p = pull()
                 if nxt_p is None:
                     busy = False
                 else:
@@ -338,30 +263,6 @@ def run_single_bottleneck_fast(
                 wire_slot, _sz, wire_created = pulled
                 busy = True
                 free_at = t + ser_b
-
-        if burst_sampling:
-            if sc:
-                flight.n += sc
-            # Account the whole burst's pushes in one counter jump, and
-            # record the push(es) that landed on a sampling point. The
-            # access FIFO preserves burst order and its finish times are
-            # monotone, so skipped packets are always a suffix of
-            # ``pending`` — the first ``pushed`` entries are exactly the
-            # packets pushed above, in order. Flow state is read
-            # post-burst (documented in docs/observability.md).
-            pushed = len(pending) - skipped
-            if pushed:
-                n0 = flight.n
-                flight.n = n0 + pushed
-                off = flight_mask - (n0 & flight_mask)
-                while off < pushed:
-                    s = pending[off][0]
-                    flow = flows[s]
-                    flight.record(
-                        KIND_PUSH, s, packet_size, 0, 0,
-                        flow.deficit, len(flow.queue),
-                    )
-                    off += flight_mask + 1
 
     # Post-arrival drain: completions keep firing while they land inside
     # the run window.

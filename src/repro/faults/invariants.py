@@ -15,9 +15,8 @@ profile is bit-identical with guards off; a test asserts it).
 
 Violations raise a structured
 :class:`~repro.core.errors.InvariantViolation` carrying the failed check,
-the offending values, and — when a tracer or flight recorder is
-active — the window of trace events and/or sampled scheduler records
-leading up to the corruption.
+the offending values, and — when a tracer is active — the window of
+trace events leading up to the corruption.
 
 Cost model: per-dequeue checks are O(1) comparisons; the structural
 sweep (matrix walk, per-flow credit audit) is O(flows) and runs every
@@ -30,7 +29,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..core.errors import InvariantViolation
-from ..obs.flight import get_flight_recorder
 from ..obs.metrics import MetricsRegistry
 from ..obs.metrics import get_registry as _active_registry
 from ..obs.trace import Tracer, get_tracer
@@ -51,7 +49,8 @@ class InvariantGuard:
         mode: ``"raise"`` (default) raises on the first violation;
             ``"record"`` only counts, letting a run complete so the
             violation totals land in the metrics artifact.
-        window: Trace events attached to a violation (needs a tracer).
+        window: Trace events attached to a violation (needs a tracer);
+            ``0`` attaches none.
     """
 
     def __init__(
@@ -68,6 +67,8 @@ class InvariantGuard:
             raise ValueError(f"every must be >= 1, got {every}")
         if mode not in ("raise", "record"):
             raise ValueError(f"mode must be 'raise' or 'record', got {mode!r}")
+        if window < 0:
+            raise ValueError(f"window must be >= 0, got {window}")
         self.sched = sched
         self.every = every
         self.mode = mode
@@ -126,18 +127,10 @@ class InvariantGuard:
 
     def _fail(self, check: str, **details: Any) -> None:
         window = []
-        if self.tracer is not None:
+        if self.tracer is not None and self.window:
             window = self.tracer.events()[-self.window:]
-        # Crash-dump the flight recorder too: on the scalar lane the
-        # trace window is empty, and the sampled operation records are
-        # the only view of what the scheduler did before the corruption.
-        recorder = get_flight_recorder()
-        flight_window = (
-            recorder.window(self.window) if recorder is not None else []
-        )
         violation = InvariantViolation(
             check, scheduler=self.kind, details=details, trace_window=window,
-            flight_window=flight_window,
         )
         self._violations.inc()
         self.violations.append(violation)

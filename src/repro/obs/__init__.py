@@ -1,6 +1,6 @@
 """repro.obs — the unified observability layer.
 
-Three complementary views of a run, all deterministic and all cheap (or
+Four complementary views of a run, all deterministic and all cheap (or
 free) when disabled:
 
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and
@@ -14,23 +14,14 @@ free) when disabled:
 * :mod:`repro.obs.profile` — per-dequeue op-count and WSS-scan-length
   distributions, the empirical evidence behind the paper's O(1) claim
   (experiment E5's p50/p99/max columns).
-* :mod:`repro.obs.flight` — a zero-allocation sampling flight recorder
-  for both lanes of SRR and DRR, whose snapshot is the ``obs.flight``
-  block (at ``sample_shift=0`` it holds every operation's exact cost).
 * :mod:`repro.obs.telemetry` — per-run JSONL heartbeat frames from
   long-running workers, watched live by ``python -m repro.obs top``
   (:mod:`repro.obs.top`).
 
 ``python -m repro.obs report results/<exp>/<run>.json`` renders the
-metrics and flight blocks of any artifact. See docs/observability.md.
+metrics block of any artifact. See docs/observability.md.
 """
 
-from .flight import (
-    FLIGHT_ENV_VAR,
-    FlightRecorder,
-    get_flight_recorder,
-    set_flight_recorder,
-)
 from .metrics import (
     DELAY_BUCKETS_S,
     NULL_REGISTRY,
@@ -47,13 +38,7 @@ from .metrics import (
     set_registry,
 )
 from .profile import DequeueProfiler, percentile
-from .report import (
-    load_flight_block,
-    load_metrics_block,
-    render_flight,
-    render_metrics,
-    split_key,
-)
+from .report import load_metrics_block, render_metrics, split_key
 from .telemetry import (
     TELEMETRY_ENV_VAR,
     TelemetryWriter,
@@ -68,8 +53,6 @@ __all__ = [
     "DELAY_BUCKETS_S",
     "DequeueProfiler",
     "EVENT_KINDS",
-    "FLIGHT_ENV_VAR",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -79,20 +62,16 @@ __all__ = [
     "TELEMETRY_ENV_VAR",
     "TelemetryWriter",
     "Tracer",
-    "get_flight_recorder",
     "get_registry",
     "get_telemetry",
     "get_tracer",
-    "load_flight_block",
     "load_metrics_block",
     "log10_buckets",
     "log2_buckets",
     "metric_key",
     "percentile",
     "read_telemetry",
-    "render_flight",
     "render_metrics",
-    "set_flight_recorder",
     "set_registry",
     "set_telemetry",
     "set_tracer",

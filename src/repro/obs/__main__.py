@@ -4,8 +4,7 @@ import argparse
 import sys
 from typing import List
 
-from .report import load_flight_block, load_metrics_block, render_flight, \
-    render_metrics
+from .report import load_metrics_block, render_metrics
 from .top import DEFAULT_STALL_AFTER_S
 from .top import main as top_main
 
@@ -18,7 +17,7 @@ def main(argv: List[str] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser(
-        "report", help="summarise the metrics/flight blocks of run artifacts"
+        "report", help="summarise the metrics blocks of run artifacts"
     )
     report.add_argument(
         "artifacts", nargs="+",
@@ -68,13 +67,6 @@ def main(argv: List[str] = None) -> int:
             status = 1
             continue
         print(render_metrics(metrics, family=args.family))
-        try:
-            flight = load_flight_block(path)
-        except (OSError, ValueError):
-            flight = None
-        if flight:
-            print()
-            print(render_flight(flight))
         print()
     return status
 

@@ -21,13 +21,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..analysis.tables import format_table
 from .metrics import Histogram
 
-__all__ = [
-    "load_metrics_block",
-    "load_flight_block",
-    "render_flight",
-    "render_metrics",
-    "split_key",
-]
+__all__ = ["load_metrics_block", "render_metrics", "split_key"]
 
 _KEY_RE = re.compile(r"^(?P<name>[^{]+)(?:\{(?P<labels>.*)\})?$")
 
@@ -58,74 +52,6 @@ def load_metrics_block(path: str) -> Dict[str, Any]:
             "enabled, e.g. python -m repro.bench e5 ...)"
         )
     return metrics
-
-
-def load_flight_block(path: str) -> Optional[Dict[str, Any]]:
-    """The ``obs["flight"]`` block of one artifact, or ``None``.
-
-    Unlike :func:`load_metrics_block` this is optional by design: the
-    harness never writes the block (``--flight`` prints the recorder's
-    totals to stderr), so only an artifact whose producer stored a
-    :meth:`FlightRecorder.snapshot` carries one.
-    """
-    with open(path) as fh:
-        data = json.load(fh)
-    obs = data.get("obs") or {}
-    return obs.get("flight")
-
-
-def render_flight(flight: Mapping[str, Any]) -> str:
-    """One summary table for a serialized flight-recorder block.
-
-    The counters line shows sampling coverage (operations seen vs
-    records kept vs overwritten by ring wraparound); when the block
-    carries a record window, per-kind ops/terms percentiles follow —
-    at ``sample_shift=0`` those are exact per-operation costs.
-    """
-    rate = flight.get("sample_rate")
-    if rate is None and "sample_shift" in flight:
-        rate = 1 << flight["sample_shift"]
-    rows = [
-        ["sample rate", f"1/{rate}" if rate else "?"],
-        ["ops seen", flight.get("ops_seen", 0)],
-        ["records", flight.get("recorded", 0)],
-        ["dropped (ring wrap)", flight.get("dropped", 0)],
-    ]
-    # A per-process snapshot carries its ring capacity; a sweep-merged
-    # block carries the number of points it aggregates instead.
-    if "capacity" in flight:
-        rows.append(["capacity", flight["capacity"]])
-    if "points" in flight:
-        rows.append(["sweep points", flight["points"]])
-    sections = [format_table(
-        ["field", "value"], rows, title="Flight recorder",
-    )]
-    window = flight.get("window") or []
-    if window:
-        from .profile import percentile
-
-        kind_rows: List[List[Any]] = []
-        for kind in ("push", "pull"):
-            records = [r for r in window if r.get("kind") == kind]
-            if not records:
-                continue
-            ops = sorted(r.get("ops", 0) for r in records)
-            terms = sorted(r.get("terms", 0) for r in records)
-            kind_rows.append([
-                kind, len(records),
-                percentile(ops, 0.50), percentile(ops, 0.99), ops[-1],
-                percentile(terms, 0.50), percentile(terms, 0.99),
-                terms[-1],
-            ])
-        if kind_rows:
-            sections.append(format_table(
-                ["kind", "records", "ops p50", "ops p99", "ops max",
-                 "terms p50", "terms p99", "terms max"],
-                kind_rows,
-                title="Sampled records (per-dequeue ops / WSS terms)",
-                precision=1,
-            ))
-    return "\n\n".join(sections)
 
 
 def render_metrics(

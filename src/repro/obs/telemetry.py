@@ -25,7 +25,7 @@ progress observable *while it happens*:
   terminal frame is flagged, pairing with the sweep timeout/reaper
   machinery which will eventually kill it.
 
-Activation follows the ``REPRO_ENGINE``/``REPRO_FLIGHT`` pattern:
+Activation follows the ``REPRO_ENGINE`` pattern:
 CLIs set ``REPRO_TELEMETRY=<path>`` before fanning out, and every
 process that inherits it lazily opens its own appending writer on first
 :func:`get_telemetry` call. The cached writer is keyed by pid so forked

@@ -48,7 +48,6 @@ __all__ = [
     "BenchResult",
     "all_benchmarks",
     "run_benchmark",
-    "measure_obs_overhead",
 ]
 
 #: Queue backends compared by the engine-level groups.
@@ -226,156 +225,6 @@ def all_benchmarks() -> List[Benchmark]:
         quick_rounds=1,
     ))
     return benches
-
-
-def measure_obs_overhead(
-    *,
-    quick: bool = False,
-    sample_shift: int = 6,
-    rounds: int = 0,
-    tolerance: float = 3.0,
-) -> List[Dict]:
-    """Measure the armed flight-recorder cost on the hot benchmarks.
-
-    For the event-loop hold model (whose hot loop must never consult the
-    recorder) and the end-to-end lean replay (whose scalar lane carries
-    the sampling branches), each arm is timed in its own
-    *subprocess* — recorder-off children against children armed through
-    ``REPRO_FLIGHT`` (so the gate also exercises the worker env
-    activation path) — and the arms' per-child best rounds are
-    compared.
-    ``sample_shift=6`` (1-in-64) is the production default the <= 3% CI
-    gate budgets for.
-
-    Subprocess isolation is not ceremony. A real run is armed or off for
-    its whole life, and the armed twin classes (see
-    :func:`repro.core.lane.flight_twin`) specialise exactly as well
-    as the bare ones — but *alternating* arms inside one process makes
-    every shared code object (lane push/pull, op bumps, the netloop body)
-    flip between instance types, and CPython 3.11's adaptive interpreter
-    de-specialises under the flip-flop: measured "overhead" was 5-45%
-    depending on round order, all of it interpreter-cache thrash that no
-    production workload sees. Per-process arms measure the deployable
-    quantity. Within each child, garbage collection is forced before and
-    disabled during every timed round, and the child processes alternate
-    off/armed over time so thermal and load drift hit both arms equally.
-
-    The reported overhead is the **smaller of two cross-arm ratios**:
-    global-min vs global-min and median vs median of the per-child
-    minima. Min-of-rounds inside one child rejects the additive
-    scheduling noise of a shared runner, but identical children were
-    measured to spread ~14% in their minima when multi-second load
-    bursts poison a child's whole life. The two ratios fail under
-    *different* noise events — min-vs-min misfires only when one arm
-    never catches a quiet window, median-vs-median only when most
-    children of one arm are bursty — while a real regression inflates
-    both equally (each arm's minimum is bounded below by its true
-    floor). Taking the smaller therefore suppresses single-sided noise
-    (phantom swings of -4%..+7% against a ~1% true cost, measured)
-    without losing sensitivity to genuine cost. A case that still reads
-    above ``tolerance`` is re-measured once with twice the children and
-    the confirmation estimate decides.
-    """
-    import json
-    import statistics
-    import subprocess
-    import sys
-
-    from ..obs.flight import FLIGHT_ENV_VAR
-
-    if rounds <= 0:
-        rounds = 16 if quick else 24
-    procs_per_arm = 6
-    cases = [
-        (f"event_loop[calendar-n{_HOLD_POPULATION}]", "hold"),
-        (f"e2e_srr_bottleneck[fastpath-n{_E2E_FLOWS}]", "e2e_fast"),
-    ]
-
-    child_src = (
-        "import gc, json, sys\n"
-        "from repro.perf import benchmarks as B\n"
-        "case, rounds = sys.argv[1], int(sys.argv[2])\n"
-        "fn = {\n"
-        "    'hold': lambda: B._hold_round(\n"
-        "        'calendar', B._HOLD_POPULATION, B._HOLD_CHURN),\n"
-        "    'e2e_fast': lambda: B._e2e_fast_round(\n"
-        "        B._E2E_FLOWS, B._E2E_UNTIL),\n"
-        "}[case]\n"
-        "fn()\n"  # warmup: imports, allocator, specialization
-        "best, work = None, 0\n"
-        "for _ in range(rounds):\n"
-        "    gc.collect(); gc.disable()\n"
-        "    try:\n"
-        "        t, work = fn()\n"
-        "    finally:\n"
-        "        gc.enable()\n"
-        "    best = t if best is None or t < best else best\n"
-        "print(json.dumps({'best': best, 'work': work}))\n"
-    )
-
-    # Wherever this package was imported from, the children must find it.
-    pkg_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-
-    def _child(case_key: str, armed: bool) -> Tuple[float, int]:
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            pkg_root + os.pathsep + existing if existing else pkg_root
-        )
-        if armed:
-            env[FLIGHT_ENV_VAR] = str(sample_shift)
-        else:
-            env.pop(FLIGHT_ENV_VAR, None)
-        proc = subprocess.run(
-            [sys.executable, "-c", child_src, case_key, str(rounds)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        payload = json.loads(proc.stdout.strip().splitlines()[-1])
-        return payload["best"], payload["work"]
-
-    def _measure(case_key: str, n_pairs: int) -> Tuple[List[float], List[float], int]:
-        off: List[float] = []
-        armed: List[float] = []
-        work = 0
-        for _ in range(n_pairs):
-            elapsed, work = _child(case_key, armed=False)
-            off.append(elapsed)
-            elapsed, work = _child(case_key, armed=True)
-            armed.append(elapsed)
-        return off, armed, work
-
-    def _overhead(off: List[float], armed: List[float]) -> float:
-        min_ratio = min(armed) / min(off)
-        med_ratio = statistics.median(armed) / statistics.median(off)
-        return (min(min_ratio, med_ratio) - 1.0) * 100.0
-
-    out: List[Dict] = []
-    for name, case_key in cases:
-        off, armed, work = _measure(case_key, procs_per_arm)
-        pct = _overhead(off, armed)
-        n_pairs = procs_per_arm
-        if pct > tolerance:
-            # Confirmation pass: a reading past the CI tolerance on this
-            # class of shared runner is usually a one-sided load burst,
-            # not cost (the true overhead was budgeted per component at
-            # ~1-2%). Re-measure the case once with twice the children
-            # and let the better-powered estimate decide; a genuine
-            # regression inflates the re-measure just the same, so this
-            # only suppresses noise, never a real cost.
-            off, armed, work = _measure(case_key, procs_per_arm * 2)
-            pct = _overhead(off, armed)
-            n_pairs += procs_per_arm * 2
-        out.append({
-            "name": name,
-            "rounds": rounds * n_pairs,
-            "sample_shift": sample_shift,
-            "work_items": work,
-            "off_s": min(off),
-            "armed_s": min(armed),
-            "overhead_pct": pct,
-        })
-    return out
 
 
 def run_benchmark(bench: Benchmark, *, quick: bool = False) -> BenchResult:

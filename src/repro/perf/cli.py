@@ -14,7 +14,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .benchmarks import all_benchmarks, measure_obs_overhead, run_benchmark
+from .benchmarks import all_benchmarks, run_benchmark
 from .report import (
     build_document,
     compare,
@@ -62,50 +62,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run only this benchmark group (repeatable); note a "
              "baseline comparison then fails its other groups as missing",
     )
-    parser.add_argument(
-        "--obs-overhead", action="store_true",
-        help="instead of the benchmark suite, measure the armed "
-             "flight-recorder overhead (1/64 sampling, interleaved "
-             "off/armed rounds) on the event loop and the e2e fastpath "
-             "replay, and fail above --obs-tolerance",
-    )
-    parser.add_argument(
-        "--obs-tolerance", type=float, default=3.0, metavar="PCT",
-        help="maximum armed-recorder overhead accepted by "
-             "--obs-overhead, in percent (default 3.0)",
-    )
     args = parser.parse_args(argv)
-
-    if args.obs_overhead:
-        rows = measure_obs_overhead(
-            quick=args.quick, tolerance=args.obs_tolerance
-        )
-        failures = []
-        for row in rows:
-            verdict = "ok"
-            if row["overhead_pct"] > args.obs_tolerance:
-                verdict = f"FAIL (> {args.obs_tolerance:.1f}%)"
-                failures.append(row["name"])
-            print(
-                f"  {row['name']}: off {row['off_s']:.4f}s, armed "
-                f"{row['armed_s']:.4f}s (1/{1 << row['sample_shift']} "
-                f"sampling) -> {row['overhead_pct']:+.2f}% {verdict}",
-                file=sys.stderr,
-            )
-        if args.json:
-            print(json.dumps(rows, indent=2, sort_keys=True))
-        if failures:
-            print(
-                f"obs overhead gate FAILED: {', '.join(failures)}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"obs overhead within {args.obs_tolerance:.1f}% on "
-            f"{len(rows)} benchmark(s)",
-            file=sys.stderr,
-        )
-        return 0
 
     benches = all_benchmarks()
     if args.group:

@@ -12,8 +12,8 @@ This package closes the loop:
   bit-identical across ``--jobs``) between low and high, reject above
   high.
 * :mod:`~repro.qos.control.slo` — the per-flow **SLO watchdog** raising
-  structured :class:`~repro.core.errors.SLOViolation` (with trace and
-  flight windows, like :class:`~repro.core.errors.InvariantViolation`)
+  structured :class:`~repro.core.errors.SLOViolation` (with a trace
+  window, like :class:`~repro.core.errors.InvariantViolation`)
   when a delivered packet's delay exceeds its quoted bound.
 * :mod:`~repro.qos.control.governor` — **graceful degradation**: demote
   best-effort classes under overload, re-quote or revoke reservations

@@ -8,7 +8,7 @@ registered for its flow, raising (or recording, mode ``"record"``) a
 structured :class:`~repro.core.errors.SLOViolation` on the first
 exceedance — the control-plane twin of
 :class:`~repro.faults.invariants.InvariantGuard`, down to attaching the
-trace/flight windows leading up to the late delivery.
+trace window leading up to the late delivery.
 
 Unwatched flows are ignored (best-effort traffic has no SLO). Targets
 can be updated in place (:meth:`watch` again after a re-quote) and
@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, List, Optional
 
 from ...core.errors import ConfigurationError, SLOViolation
-from ...obs.flight import get_flight_recorder
 from ...obs.metrics import MetricsRegistry
 from ...obs.metrics import get_registry as _active_registry
 from ...obs.trace import Tracer, get_tracer
@@ -55,7 +54,8 @@ class SLOWatchdog:
         mode: ``"raise"`` (default) raises :class:`SLOViolation` on the
             first late delivery; ``"record"`` counts and keeps the run
             alive so violation totals land in the metrics artifact.
-        window: Trace/flight events attached to each violation.
+        window: Trace events attached to each violation (needs a
+            tracer); ``0`` attaches none.
     """
 
     def __init__(
@@ -70,6 +70,8 @@ class SLOWatchdog:
             raise ConfigurationError(
                 f"mode must be 'raise' or 'record', got {mode!r}"
             )
+        if window < 0:
+            raise ConfigurationError(f"window must be >= 0, got {window}")
         self.mode = mode
         self.window = window
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -137,12 +139,8 @@ class SLOWatchdog:
         slo.violations += 1
         self._violated.inc()
         trace_window = []
-        if self.tracer is not None:
+        if self.tracer is not None and self.window:
             trace_window = self.tracer.events()[-self.window:]
-        recorder = get_flight_recorder()
-        flight_window = (
-            recorder.window(self.window) if recorder is not None else []
-        )
         violation = SLOViolation(
             packet.flow_id,
             observed,
@@ -151,7 +149,6 @@ class SLOWatchdog:
             details={"seq": packet.seq, "size": packet.size,
                      "delivered_at": packet.delivered_at},
             trace_window=trace_window,
-            flight_window=flight_window,
         )
         self.violations.append(violation)
         for listener in self._on_violation:

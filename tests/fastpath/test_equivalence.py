@@ -59,6 +59,16 @@ def lane_pull(lane, fids):
     return ref[0], size
 
 
+def assert_same_cost(obj, lane, obj_ops, lane_ops, step):
+    """Equal op counts and, for SRR, equal WSS terms scanned so far."""
+    assert obj_ops.count == lane_ops.count, (
+        f"step {step}: op-count profiles diverged"
+    )
+    assert getattr(obj, "terms_scanned", 0) == getattr(
+        lane, "terms_scanned", 0
+    ), f"step {step}: WSS terms scanned diverged"
+
+
 @pytest.mark.parametrize("name,kwargs", CONFIGS)
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_churn_is_bit_identical(name, kwargs, seed):
@@ -111,20 +121,19 @@ def test_randomized_churn_is_bit_identical(name, kwargs, seed):
         assert flow_stats(obj, flows) == flow_stats(lane, flows), (
             f"step {step}: per-flow state diverged"
         )
+        assert_same_cost(obj, lane, obj_ops, lane_ops, step)
 
     # Drain to empty and compare the tail order too.
     while True:
         p_obj, got = obj.dequeue(), lane_pull(lane, fids)
+        assert_same_cost(obj, lane, obj_ops, lane_ops, "drain")
         if p_obj is None:
             assert got is None
             break
         assert got == (p_obj.flow_id, p_obj.size)
 
-    assert obj_ops.count == lane_ops.count, "op-count profiles diverged"
     assert flow_stats(obj, flows) == flow_stats(lane, flows)
     assert lane.backlog == 0 and lane.backlog_bytes == 0
-    if hasattr(obj, "terms_scanned"):
-        assert obj.terms_scanned == lane.terms_scanned
 
 
 @pytest.mark.parametrize("name,kwargs", CONFIGS)

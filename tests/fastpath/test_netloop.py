@@ -7,12 +7,15 @@ recurrences reproduce the engine's float arithmetic exactly, so the
 comparison is exact, not approximate).
 """
 
+import random
+
 import pytest
 
 from repro.bench.scenarios import single_bottleneck_network
 from repro.core.errors import ConfigurationError
 from repro.fastpath.netloop import run_single_bottleneck_fast
 from repro.net.eventq import ENGINE_ENV_VAR
+from repro.schedulers.registry import create_scheduler
 
 
 def object_reference(n_flows, until, scheduler="srr"):
@@ -97,6 +100,44 @@ class TestRunAccounting:
         assert run.mean_delay(slot) == (
             run.delay_sum[slot] / run.delivered[slot]
         )
+
+
+class TestScanBound:
+    @pytest.mark.parametrize("n_flows", [4, 64, 512])
+    def test_each_pull_scans_at_most_two_terms(self, n_flows):
+        """The paper's WSS bound on the scalar lane, one pull at a time,
+        over the replay's flow set: ``tag`` at weight 2 and ``n_flows``
+        ``bg`` flows at weight 1. Each burst pushes two tag packets and,
+        every other burst, one packet per bg flow; a random number of
+        pulls follows, so flows go idle, the WSS order changes, and
+        pulls scan empty columns."""
+        sched = create_scheduler("srr", quantum=200)
+        sched.add_flow("tag", 2)
+        for i in range(n_flows):
+            sched.add_flow(f"bg{i}", 1)
+        tag = sched.slot_of("tag")
+        bg = [sched.slot_of(f"bg{i}") for i in range(n_flows)]
+        rng = random.Random(n_flows)
+        deltas = []
+
+        def pull():
+            before = sched.terms_scanned
+            item = sched.pull()
+            deltas.append(sched.terms_scanned - before)
+            return item
+
+        for burst in range(240):
+            sched.push(tag, 200)
+            sched.push(tag, 200)
+            if burst % 2 == 0:
+                for slot in bg:
+                    sched.push(slot, 200)
+            for _ in range(rng.randint(1, sched.backlog)):
+                assert pull() is not None
+        while pull() is not None:
+            pass
+        assert len(deltas) == 480 + 120 * n_flows + 1
+        assert max(deltas) <= 2
 
 
 class TestGuards:

@@ -150,6 +150,21 @@ class TestCorruptionCaught:
         assert info.value.trace_window[-1]["t"] == 7.0
         guard.detach()
 
+    def test_zero_window_attaches_no_events(self):
+        tracer = Tracer()
+        for i in range(8):
+            tracer.emit("enqueue", float(i), flow="f1")
+        sched = make_drr()
+        guard = attach_guard(sched, every=1, window=0, tracer=tracer)
+        load(sched, ["f1"], 2)
+        sched._flows["f2"].deficit = 50
+        with pytest.raises(InvariantViolation) as info:
+            sched.dequeue()
+        assert info.value.trace_window == []
+        guard.detach()
+        with pytest.raises(ValueError):
+            InvariantGuard(make_drr(), window=-1)
+
 
 class TestZeroOverhead:
     def profile(self, with_guard_cycle):

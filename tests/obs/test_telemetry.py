@@ -145,32 +145,3 @@ class TestCli:
         assert main(["top", str(tmp_path), "--once"]) == 0
         out = capsys.readouterr().out
         assert "run.jsonl" in out and "done" in out
-
-    def test_report_renders_flight_block(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
-        artifact = tmp_path / "run.json"
-        artifact.write_text(json.dumps({
-            "obs": {
-                "metrics": {
-                    "x_total": {"type": "counter", "value": 3},
-                },
-                "flight": {
-                    "schema": "repro.obs/flight/v1",
-                    "sample_shift": 6,
-                    "ops_seen": 640,
-                    "recorded": 10,
-                    "dropped": 0,
-                    "points": 2,
-                    "window": [
-                        {"kind": "pull", "slot": 0, "size": 200, "ops": 2,
-                         "terms": 1, "credit": 0.0, "occupancy": 1,
-                         "dt": 0.01},
-                    ],
-                },
-            },
-        }))
-        assert main(["report", str(artifact)]) == 0
-        out = capsys.readouterr().out
-        assert "Flight recorder" in out
-        assert "1/64" in out
-        assert "sweep points" in out

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ConfigurationError, SLOViolation
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.qos import SLOWatchdog
 
 
@@ -64,6 +65,19 @@ class TestWatch:
         dog.on_delivery(FakePacket("f1", 0.0, 0.050))
         assert not dog.violations
         assert dog.watched() == {"f1": 0.100}
+
+    def test_zero_window_attaches_no_events(self):
+        tracer = Tracer()
+        for i in range(8):
+            tracer.emit("enqueue", float(i), flow="f1")
+        dog = SLOWatchdog(mode="raise", window=0, tracer=tracer,
+                          registry=MetricsRegistry())
+        dog.watch("f1", 0.010)
+        with pytest.raises(SLOViolation) as info:
+            dog.on_delivery(FakePacket("f1", 0.0, 0.050))
+        assert info.value.trace_window == []
+        with pytest.raises(ConfigurationError):
+            SLOWatchdog(window=-1, registry=MetricsRegistry())
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
