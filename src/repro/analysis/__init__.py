@@ -18,8 +18,6 @@ from .fairness import (
     GapStats,
     gap_statistics,
     jain_index,
-    service_fairness_index,
-    worst_case_fairness,
     worst_case_lag,
 )
 from .metrics import DelayStats, jitter, percentile, summarize_delays
@@ -84,12 +82,10 @@ __all__ = [
     "summarize_replications",
     "t_critical",
     "rrr_delay_bound",
-    "service_fairness_index",
     "srr_delay_bound",
     "summarize_delays",
     "theta",
     "wfq_delay_bound",
-    "worst_case_fairness",
     "worst_case_lag",
     "wrr_service_curve",
 ]

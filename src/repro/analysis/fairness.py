@@ -1,4 +1,4 @@
-"""Fairness indices: Jain, Golestani SFI, worst-case lag, smoothness.
+"""Fairness indices: Jain, worst-case lag, smoothness.
 
 These operate on *service traces* — ordered ``(time, flow_id, size)``
 transmissions at one port (see
@@ -8,10 +8,6 @@ paper's fairness discussion) uses:
 
 * **Jain's index** over weight-normalised throughputs: 1.0 = perfectly
   proportional shares.
-* **Golestani's Service Fairness Index (SFI)**: the maximum over flow
-  pairs and time windows of ``|S_i(t1,t2)/w_i - S_j(t1,t2)/w_j|`` while
-  both flows are continuously backlogged. Bounded for fair-queueing
-  schedulers; grows with burstiness for WRR/DRR.
 * **Worst-case normalised lag** against the fluid reference: for each
   flow, ``max_t (w_i/W * S(0,t) - S_i(0,t))`` — how far the scheduler
   lets a flow fall behind its entitled share.
@@ -22,15 +18,13 @@ paper's fairness discussion) uses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
 
 __all__ = [
     "jain_index",
-    "service_fairness_index",
     "worst_case_lag",
-    "worst_case_fairness",
     "gap_statistics",
     "GapStats",
 ]
@@ -54,46 +48,6 @@ def jain_index(shares: Sequence[float]) -> float:
     if squares == 0:
         return 1.0  # all-zero: vacuously fair
     return total * total / (len(xs) * squares)
-
-
-def service_fairness_index(
-    trace: Sequence[TraceEntry],
-    weights: Dict[Hashable, float],
-    *,
-    window: float,
-    step: float = 0.0,
-) -> float:
-    """Golestani SFI over sliding windows of ``window`` seconds.
-
-    Only flows in ``weights`` are considered (best-effort traffic is
-    excluded by omission) and they are assumed continuously backlogged
-    over the trace — arrange the workload accordingly (E6 uses greedy
-    sources).
-
-    Returns the maximum over windows and flow pairs of
-    ``|S_i/w_i - S_j/w_j|`` in bytes-per-unit-weight.
-    """
-    if window <= 0:
-        raise ConfigurationError("window must be positive")
-    if not trace:
-        return 0.0
-    if step <= 0:
-        step = window / 2
-    t_start = trace[0][0]
-    t_end = trace[-1][0]
-    flows = list(weights)
-    worst = 0.0
-    t0 = t_start
-    while t0 < t_end:
-        t1 = t0 + window
-        served = {f: 0.0 for f in flows}
-        for t, fid, size in trace:
-            if t0 <= t < t1 and fid in served:
-                served[fid] += size
-        normalised = [served[f] / weights[f] for f in flows]
-        worst = max(worst, max(normalised) - min(normalised))
-        t0 += step
-    return worst
 
 
 def worst_case_lag(
@@ -121,46 +75,6 @@ def worst_case_lag(
             entitled = weights[f] / total_weight * total
             lag[f] = max(lag[f], entitled - served[f])
     return lag
-
-
-def worst_case_fairness(records, rate_bps: float) -> float:
-    """Empirical Worst-case Fairness Index of one flow (Bennett & Zhang).
-
-    A scheduler is worst-case fair for flow ``i`` with constant ``C_i``
-    when every packet arriving at time ``a`` departs by
-    ``a + Q_i(a)/r_i + C_i``, where ``Q_i(a)`` is the flow's own queue
-    (including the packet) at arrival. This function computes the
-    empirical ``C_i`` — the maximum over delivered packets of
-    ``delay - Q_i(arrival)/r`` — from per-packet delivery records
-    (``seq``/``size``/``created_at``/``delivered_at``, e.g.
-    :class:`~repro.net.sinks.DeliveryRecord`). Small values mean the
-    scheduler never lets the flow fall behind its own fluid service;
-    bursty schedulers (WRR/DRR) produce C_i on the order of a full round.
-
-    Assumes per-flow FIFO service (true for every scheduler here), so
-    delivery times are non-decreasing in ``seq``.
-    """
-    if rate_bps <= 0:
-        raise ConfigurationError("rate must be positive")
-    recs = sorted(records, key=lambda r: r.seq)
-    if not recs:
-        raise ConfigurationError("no records")
-    from bisect import bisect_right
-
-    deliver_times = [r.delivered_at for r in recs]
-    prefix = [0]
-    for r in recs:
-        prefix.append(prefix[-1] + r.size)
-    rate_bytes = rate_bps / 8.0
-    worst = float("-inf")
-    for idx, r in enumerate(recs):
-        # Own-queue backlog at arrival: earlier packets not yet delivered
-        # (per-flow FIFO makes deliver_times sorted) plus this packet.
-        j = bisect_right(deliver_times, r.created_at, 0, idx)
-        backlog = (prefix[idx] - prefix[j]) + r.size
-        slack = (r.delivered_at - r.created_at) - backlog / rate_bytes
-        worst = max(worst, slack)
-    return worst
 
 
 @dataclass(frozen=True)

@@ -517,8 +517,8 @@ def _e6_point(name: str, weights: Dict[int, int], rounds: int) -> Dict:
 
 
 def _e6_body(p: E6Params, ctx: RunContext) -> Dict:
-    """Throughput Jain index, worst normalised lag and SFI-style gap
-    spread in a saturated single node (E6, claim C2)."""
+    """Throughput Jain index and worst normalised fluid lag in a
+    saturated single node (E6, claim C2)."""
     weights = geometric_weights(p.n_flows, max_exponent=3)
     records = ctx.sweep(
         _e6_point, [(name, weights, p.rounds) for name in p.schedulers]

@@ -48,10 +48,6 @@ def run_config(
     scale: str = "default",
     jobs: int = 1,
     quiet: bool = True,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    retry_backoff: float = 0.0,
-    checkpoint_dir: Optional[str] = None,
     engine: Optional[str] = None,
     overrides: Optional[Mapping[str, Any]] = None,
 ) -> RunResult:
@@ -64,8 +60,7 @@ def run_config(
         ) from None
     return run_spec(
         spec, seed=seed, scale=scale, jobs=jobs, quiet=quiet,
-        timeout=timeout, retries=retries, retry_backoff=retry_backoff,
-        checkpoint_dir=checkpoint_dir, engine=engine, overrides=overrides,
+        engine=engine, overrides=overrides,
     )
 
 
@@ -155,30 +150,6 @@ def main(argv: List[str] = None) -> int:
              "from pool workers are not lost",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-sweep-point wall-clock budget; hung points are "
-             "terminated and recorded as FailedRun instead of wedging "
-             "the run",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="re-run a failed/timed-out sweep point up to N extra times "
-             "(each attempt's child seed is recorded in the artifact)",
-    )
-    parser.add_argument(
-        "--retry-backoff", type=float, default=0.0, metavar="SECONDS",
-        help="base delay of the seeded exponential backoff (with jitter) "
-             "between retry attempts; each wait is recorded per attempt "
-             "in the artifact's failure records (default 0 = retry "
-             "immediately)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="checkpoint each sweep point under "
-             "<results-dir>/<exp>/checkpoints/ and skip points whose "
-             "valid checkpoint already exists (failed points re-run)",
-    )
-    parser.add_argument(
         "--check-invariants", action="store_true",
         help="attach the runtime invariant guard pack (SRR matrix "
              "integrity, DRR credit conservation, WFQ vtime "
@@ -203,22 +174,9 @@ def main(argv: List[str] = None) -> int:
              "rejected; between low and high they are shed "
              "probabilistically (e14 default 0.90)",
     )
-    parser.add_argument(
-        "--telemetry", metavar="PATH", default=None,
-        help="append live heartbeat frames (JSONL) to PATH from this "
-             "process and every sweep worker; watch them with "
-             "'python -m repro.obs top'",
-    )
     args = parser.parse_args(argv)
 
-    import os
-
     from ..harness import write_artifact
-    from ..obs.telemetry import (
-        TELEMETRY_ENV_VAR,
-        get_telemetry,
-        set_telemetry,
-    )
     from ..obs.trace import Tracer, set_tracer
 
     scale = "quick" if args.quick else args.scale
@@ -264,50 +222,21 @@ def main(argv: List[str] = None) -> int:
             raise ConfigurationError(
                 f"{flag} is not supported by {', '.join(unsupported)}"
             )
-    # Telemetry is env-var activated so sweep pool workers (fresh
-    # processes) pick it up on their own.
-    telemetry = None
-    if args.telemetry is not None:
-        saved_env = os.environ.get(TELEMETRY_ENV_VAR)
-        os.environ[TELEMETRY_ENV_VAR] = args.telemetry
-        set_telemetry(None)
-        telemetry = get_telemetry()
-        telemetry.frame(
-            "run_start", experiments=names, scale=scale, seed=args.seed,
-        )
     payloads = []
     try:
         for name in names:
-            checkpoint_dir = None
-            if args.resume:
-                # Deterministic location, so a re-run of the same
-                # (experiment, seed, scale) finds its own checkpoints.
-                checkpoint_dir = (
-                    f"{args.results_dir}/{name}/checkpoints/"
-                    f"seed{args.seed}-{scale}"
-                )
             result = run_config(
                 name,
                 seed=args.seed,
                 scale=scale,
                 jobs=jobs,
                 quiet=args.quiet or args.json,
-                timeout=args.timeout,
-                retries=args.retries,
-                retry_backoff=args.retry_backoff,
-                checkpoint_dir=checkpoint_dir,
                 engine=args.engine,
                 overrides=overrides if args.experiment != "all" else {
                     k: v for k, v in overrides.items()
                     if k in SPECS[name].param_names()
                 },
             )
-            if result.failed:
-                print(
-                    f"{name}: {len(result.failed)} sweep point(s) failed "
-                    f"after retries (recorded in the artifact)",
-                    file=sys.stderr,
-                )
             if not args.no_artifact:
                 path = write_artifact(result, results_dir=args.results_dir)
                 print(f"wrote {path}", file=sys.stderr)
@@ -320,14 +249,6 @@ def main(argv: List[str] = None) -> int:
             print(f"wrote {written} trace events to {args.trace} "
                   f"({tracer.dropped} dropped by the ring buffer)",
                   file=sys.stderr)
-        if telemetry is not None:
-            telemetry.frame("run_end", experiments=names)
-            telemetry.close()
-            set_telemetry(None)
-            if saved_env is None:
-                os.environ.pop(TELEMETRY_ENV_VAR, None)
-            else:
-                os.environ[TELEMETRY_ENV_VAR] = saved_env
     if args.json:
         print(json.dumps(payloads[0] if len(payloads) == 1 else payloads,
                          indent=2))

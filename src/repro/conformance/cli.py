@@ -58,8 +58,6 @@ def check_seed(
     ``bounds=True`` adds the network-calculus certification family on
     the disciplines with a service curve, replayed under each engine in
     ``bounds_engines``."""
-    from ..obs.telemetry import get_telemetry
-
     scenario = generate_scenario(seed, quick=quick)
     names = list(variant_names) if variant_names else [
         v.name for v in VARIANTS()
@@ -69,8 +67,6 @@ def check_seed(
         families = families + ("bounds",)
     violations: List[Dict[str, Any]] = []
     hasher = hashlib.sha256()
-    # Env-activated in pool workers (REPRO_TELEMETRY); None when off.
-    tele = get_telemetry()
     for name in names:
         variant = variant_by_name(name)
         run = run_scenario(variant, scenario)
@@ -80,12 +76,6 @@ def check_seed(
                                 engine_check=engine_check,
                                 bounds_engines=tuple(bounds_engines)):
             violations.append(v.to_json_dict())
-        if tele is not None:
-            tele.heartbeat(seed=seed, variant=name,
-                           violations=len(violations))
-    if tele is not None:
-        tele.frame("seed_done", seed=seed, variants=len(names),
-                   violations=len(violations))
     return {
         "seed": seed,
         "violations": violations,
@@ -179,11 +169,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="print a machine-readable summary to stdout")
     parser.add_argument("--no-shrink", action="store_true",
                         help="report failures without shrinking")
-    parser.add_argument("--telemetry", metavar="PATH", default=None,
-                        help="append live heartbeat frames (JSONL) to "
-                             "PATH from this process and every fuzz "
-                             "worker; watch with 'python -m repro.obs "
-                             "top'")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -234,40 +219,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         for i, seed in enumerate(seeds)
     ]
-    telemetry = None
-    saved_tele_env = None
-    if args.telemetry is not None:
-        import os
-
-        from ..obs.telemetry import (
-            TELEMETRY_ENV_VAR,
-            get_telemetry,
-            set_telemetry,
-        )
-
-        saved_tele_env = os.environ.get(TELEMETRY_ENV_VAR)
-        os.environ[TELEMETRY_ENV_VAR] = args.telemetry
-        set_telemetry(None)
-        telemetry = get_telemetry()
-        telemetry.frame(
-            "run_start", mode="conformance", seeds=len(seeds),
-            total=len(tasks),
-        )
-    try:
-        records = sweep(check_seed, tasks, jobs=args.jobs)
-    finally:
-        if telemetry is not None:
-            import os
-
-            from ..obs.telemetry import set_telemetry
-
-            telemetry.frame("run_end", mode="conformance")
-            telemetry.close()
-            set_telemetry(None)
-            if saved_tele_env is None:
-                os.environ.pop("REPRO_TELEMETRY", None)
-            else:
-                os.environ["REPRO_TELEMETRY"] = saved_tele_env
+    records = sweep(check_seed, tasks, jobs=args.jobs)
 
     digest = hashlib.sha256(
         "".join(r["digest"] for r in records).encode()

@@ -26,15 +26,7 @@ from .config import (
 from .io import atomic_write_json, atomic_write_text, load_json_checked
 from .result import RunResult, environment_metadata
 from .run import run_config_for_spec, run_spec
-from .sweep import (
-    FailedRun,
-    SweepPointError,
-    backoff_delay,
-    child_seed,
-    spawn_seeds,
-    sweep,
-    task_hash,
-)
+from .sweep import SweepPointError, child_seed, spawn_seeds, sweep, task_hash
 from .artifacts import (
     artifact_path,
     benchmark_summary,
@@ -46,14 +38,12 @@ __all__ = [
     "SCALES",
     "ExperimentConfig",
     "ExperimentSpec",
-    "FailedRun",
     "RunContext",
     "RunResult",
     "SweepPointError",
     "artifact_path",
     "atomic_write_json",
     "atomic_write_text",
-    "backoff_delay",
     "benchmark_summary",
     "build_config",
     "child_seed",

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.tables import records_table
 from ..core.errors import ConfigurationError
 from ..net.eventq import QUEUE_KINDS
 from ..obs.metrics import MetricsRegistry
-from .sweep import FailedRun, child_seed, sweep
+from .sweep import child_seed, sweep
 
 __all__ = [
     "SCALES",
@@ -60,13 +59,6 @@ class ExperimentConfig:
     scale: str = "default"
     jobs: int = 1
     quiet: bool = True
-    #: Crash-tolerance knobs forwarded to :func:`repro.harness.sweep.sweep`
-    #: (all off by default; like ``jobs`` they cannot change results, only
-    #: whether a run survives a hung or crashing point).
-    timeout: Optional[float] = None
-    retries: int = 0
-    retry_backoff: float = 0.0
-    checkpoint_dir: Optional[str] = None
     #: Event-queue backend for every Simulator in the run (``"heap"`` /
     #: ``"calendar"``); ``None`` leaves the process default in place.
     #: Like ``jobs``, this cannot change results — only wall time — so
@@ -81,10 +73,6 @@ class ExperimentConfig:
             "scale": self.scale,
             "jobs": self.jobs,
             "quiet": self.quiet,
-            "timeout": self.timeout,
-            "retries": self.retries,
-            "retry_backoff": self.retry_backoff,
-            "checkpoint_dir": self.checkpoint_dir,
             "engine": self.engine,
             "params": _jsonable(dict(self.params)),
         }
@@ -97,10 +85,6 @@ class ExperimentConfig:
             scale=data.get("scale", "default"),
             jobs=data.get("jobs", 1),
             quiet=data.get("quiet", True),
-            timeout=data.get("timeout"),
-            retries=data.get("retries", 0),
-            retry_backoff=data.get("retry_backoff", 0.0),
-            checkpoint_dir=data.get("checkpoint_dir"),
             engine=data.get("engine"),
             params=dict(data.get("params", {})),
         )
@@ -183,10 +167,6 @@ def build_config(
     scale: str = "default",
     jobs: int = 1,
     quiet: bool = True,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    retry_backoff: float = 0.0,
-    checkpoint_dir: Optional[str] = None,
     engine: Optional[str] = None,
     overrides: Optional[Mapping[str, Any]] = None,
 ) -> ExperimentConfig:
@@ -201,10 +181,6 @@ def build_config(
         scale=scale,
         jobs=jobs,
         quiet=quiet,
-        timeout=timeout,
-        retries=retries,
-        retry_backoff=retry_backoff,
-        checkpoint_dir=checkpoint_dir,
         engine=engine,
         params=resolve_params(spec, scale, overrides),
     )
@@ -219,32 +195,14 @@ class RunContext:
     """
 
     def __init__(
-        self,
-        seed: int = 1,
-        jobs: int = 1,
-        quiet: bool = True,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-        retry_backoff: float = 0.0,
-        checkpoint_dir: Optional[str] = None,
+        self, seed: int = 1, jobs: int = 1, quiet: bool = True
     ) -> None:
         self.seed = seed
         self.jobs = jobs
         self.quiet = quiet
-        self.timeout = timeout
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.checkpoint_dir = checkpoint_dir
         self.points: List[Dict[str, Any]] = []
         self.tables: List[str] = []
         self.engine: Dict[str, Any] = {}
-        #: Sweep points that exhausted their attempts (``FailedRun``
-        #: records): the run completes without them and their structured
-        #: failure records land in ``RunResult.failed``.
-        self.failed: List[Any] = []
-        #: Counts ``sweep()`` calls so each gets its own checkpoint
-        #: subdirectory (a body may sweep more than once).
-        self._sweep_calls = 0
         #: The run's metrics registry. Sweep points run in child
         #: processes, so bodies snapshot a per-point registry there and
         #: merge the snapshots here (:meth:`record_metrics`) in task
@@ -264,47 +222,9 @@ class RunContext:
     # -- sweeping ----------------------------------------------------------
 
     def sweep(self, fn: Callable, tasks: Sequence[Tuple]) -> List[Any]:
-        """Run ``fn`` over ``tasks`` honouring this run's ``jobs`` and
-        crash-tolerance knobs.
-
-        With ``timeout``/``retries``/``checkpoint_dir`` active, points
-        that exhaust their attempts are collected on :attr:`failed` as
-        structured ``FailedRun`` records and only the successful results
-        are returned (still in task order) — one bad point no longer
-        aborts the run. With all knobs off this is the plain
-        zero-overhead sweep.
-        """
-        robust = (
-            self.timeout is not None
-            or self.retries > 0
-            or self.checkpoint_dir is not None
-        )
-        call_dir = None
-        if self.checkpoint_dir is not None:
-            call_dir = str(
-                Path(self.checkpoint_dir) / f"sweep-{self._sweep_calls}"
-            )
-        self._sweep_calls += 1
-        if not robust:
-            return sweep(fn, tasks, jobs=self.jobs, seed=self.seed)
-        results = sweep(
-            fn,
-            tasks,
-            jobs=self.jobs,
-            timeout=self.timeout,
-            retries=self.retries,
-            backoff=self.retry_backoff,
-            failures="collect",
-            seed=self.seed,
-            checkpoint_dir=call_dir,
-        )
-        kept = []
-        for outcome in results:
-            if isinstance(outcome, FailedRun):
-                self.failed.append(outcome)
-            else:
-                kept.append(outcome)
-        return kept
+        """Run ``fn`` over ``tasks`` with this run's ``jobs``; a failing
+        point raises :class:`~repro.harness.sweep.SweepPointError`."""
+        return sweep(fn, tasks, jobs=self.jobs, seed=self.seed)
 
     # -- result collection -------------------------------------------------
 

@@ -1,18 +1,16 @@
-"""Crash-tolerant file IO shared by artifacts, checkpoints and traces.
+"""Atomic file IO shared by run artifacts, conformance repros and traces.
 
 Every results file this repository produces goes through
 :func:`atomic_write_text`: the payload is written to a sibling temp file
 and moved into place with ``os.replace``, which is atomic on POSIX and
 Windows. A reader therefore either sees the previous complete file or the
 new complete file — never a truncated half-write from a crashed or killed
-process (the failure mode the crash-tolerant sweep harness is built
-around).
+process.
 
-The loaders are the other half of the contract: :func:`load_json_checked`
+The loader is the other half of the contract: :func:`load_json_checked`
 turns missing files, partial JSON and schema mismatches into a structured
 :class:`~repro.core.errors.ArtifactError` instead of an uncaught
-``json.JSONDecodeError`` — so a resumable sweep can treat a corrupt
-checkpoint as "re-run this point" rather than dying.
+``json.JSONDecodeError``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
 
     The temp file lives in the destination directory (same filesystem, so
     the rename is atomic) and carries the writer's pid, so concurrent
-    sweep workers writing different points never collide on it.
+    processes writing into one directory never collide on it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

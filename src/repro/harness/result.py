@@ -76,10 +76,6 @@ class RunResult:
     #: must be bit-identical across ``--jobs`` values, and the
     #: parallel-vs-serial identity tests enforce that here.
     obs: Dict[str, Any] = field(default_factory=dict)
-    #: Structured ``FailedRun`` records (JSON form) for sweep points that
-    #: exhausted their attempts under the crash-tolerant harness. Whether
-    #: a point times out depends on wall clock, so this is volatile.
-    failed: List[Dict[str, Any]] = field(default_factory=list)
     started_at: str = ""
     wall_time_s: float = 0.0
     environment: Dict[str, Any] = field(default_factory=dict)
@@ -89,9 +85,7 @@ class RunResult:
 
     #: JSON fields that legitimately differ between two runs of the same
     #: config (used by the parallel-vs-serial equality tests and CI).
-    VOLATILE_FIELDS = (
-        "started_at", "wall_time_s", "environment", "engine", "failed",
-    )
+    VOLATILE_FIELDS = ("started_at", "wall_time_s", "environment", "engine")
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
@@ -103,7 +97,6 @@ class RunResult:
             "tables": list(self.tables),
             "engine": _jsonable(self.engine),
             "obs": _jsonable(self.obs),
-            "failed": _jsonable(self.failed),
             "started_at": self.started_at,
             "wall_time_s": self.wall_time_s,
             "environment": _jsonable(self.environment),
@@ -120,7 +113,6 @@ class RunResult:
             tables=list(data.get("tables", [])),
             engine=dict(data.get("engine", {})),
             obs=dict(data.get("obs", {})),
-            failed=[dict(f) for f in data.get("failed", [])],
             started_at=data.get("started_at", ""),
             wall_time_s=data.get("wall_time_s", 0.0),
             environment=dict(data.get("environment", {})),
@@ -136,12 +128,6 @@ class RunResult:
             data.pop(key, None)
         data["config"].pop("jobs", None)
         data["config"].pop("quiet", None)
-        # Crash-tolerance knobs, like jobs, cannot change results — only
-        # whether a run survives a hung/crashing point.
-        data["config"].pop("timeout", None)
-        data["config"].pop("retries", None)
-        data["config"].pop("retry_backoff", None)
-        data["config"].pop("checkpoint_dir", None)
         # The event-queue backend pops in identical (time, seq) order on
         # every kind, so it cannot change results either — the heap-vs-
         # calendar artifact-identity tests compare this stable form.

@@ -27,15 +27,7 @@ def run_config_for_spec(
     function. The prior value is restored afterwards.
     """
     params = spec.params_type(**dict(config.params))
-    ctx = RunContext(
-        seed=config.seed,
-        jobs=config.jobs,
-        quiet=config.quiet,
-        timeout=config.timeout,
-        retries=config.retries,
-        retry_backoff=config.retry_backoff,
-        checkpoint_dir=config.checkpoint_dir,
-    )
+    ctx = RunContext(seed=config.seed, jobs=config.jobs, quiet=config.quiet)
     saved = os.environ.get(ENGINE_ENV_VAR)
     if config.engine is not None:
         os.environ[ENGINE_ENV_VAR] = config.engine
@@ -58,7 +50,6 @@ def run_config_for_spec(
         tables=ctx.tables,
         engine=dict(ctx.engine),
         obs={"metrics": ctx.metrics.snapshot()},
-        failed=[f.to_json_dict() for f in ctx.failed],
         started_at=started.isoformat(),
         wall_time_s=wall,
         environment=environment_metadata(),
@@ -73,17 +64,12 @@ def run_spec(
     scale: str = "default",
     jobs: int = 1,
     quiet: bool = True,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    retry_backoff: float = 0.0,
-    checkpoint_dir: Optional[str] = None,
     engine: Optional[str] = None,
     overrides: Optional[Mapping[str, Any]] = None,
 ) -> RunResult:
     """Build the config for ``spec`` and run it in one call."""
     config = build_config(
         spec, seed=seed, scale=scale, jobs=jobs, quiet=quiet,
-        timeout=timeout, retries=retries, retry_backoff=retry_backoff,
-        checkpoint_dir=checkpoint_dir, engine=engine, overrides=overrides,
+        engine=engine, overrides=overrides,
     )
     return run_config_for_spec(spec, config)

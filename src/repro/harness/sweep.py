@@ -1,4 +1,4 @@
-"""Deterministic, crash-tolerant parameter sweeps with process fan-out.
+"""Deterministic parameter sweeps with process fan-out.
 
 ``sweep(fn, tasks, jobs=N)`` maps a module-level function over a list of
 argument tuples. With ``jobs == 1`` the calls run inline; with
@@ -9,53 +9,23 @@ submission index), so a parallel run is bit-identical to a serial one
 point receives its own child seed (:func:`child_seed`) instead of sharing
 a process-global RNG.
 
-Crash tolerance (opt-in, all off by default):
-
-* ``timeout=`` — a per-point wall-clock budget. Points run in their own
-  subprocess (a pool cannot kill a hung task) and are terminated at the
-  deadline.
-* ``retries=`` — failed/timed-out points are re-run up to this many extra
-  attempts; each attempt's re-derived child seed
-  (``child_seed(child_seed(seed, index), attempt)``) is recorded.
-* ``backoff=`` — seeded exponential backoff with jitter between retry
-  attempts: attempt ``a`` waits ``min(cap, base * 2**a) * (0.5 +
-  0.5*u)`` seconds, where ``u`` is drawn from an RNG seeded by the
-  attempt's own child seed — so the delay schedule is reproducible from
-  the artifact, and a thundering herd of retrying points decorrelates.
-  Each wait is recorded as ``backoff_s`` in the failed attempt's history
-  entry. Backoff shifts only *when* an attempt starts, never its seed or
-  result.
-* ``failures="collect"`` — a point that exhausts its attempts becomes a
-  structured :class:`FailedRun` *in the result list* instead of aborting
-  the sweep; with the default ``"raise"`` the first failure raises a
-  :class:`SweepPointError` carrying the point index, config hash and
-  child seed, so failed points are diagnosable from the artifact alone.
-* ``checkpoint_dir=`` — every completed point is persisted atomically as
-  ``point-<index>.json``; a re-run with the same directory skips points
-  whose checkpoint exists, validates, and succeeded (``--resume``:
-  failed or corrupt checkpoints re-run).
+Each point is a deterministic function of its task, so a failing point
+is not retried: the first one (in task order) aborts the sweep with a
+:class:`SweepPointError` that carries its index, task, config hash and
+child seed, so the point is reproducible from the error alone.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
-import random
-import time
-import traceback
-from collections import deque
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..core.errors import ArtifactError, ConfigurationError, ReproError
-from ..obs.telemetry import get_telemetry
-from .io import atomic_write_json, load_json_checked
+from ..core.errors import ConfigurationError, ReproError
 
 __all__ = [
-    "FailedRun",
     "SweepPointError",
-    "backoff_delay",
     "sweep",
     "child_seed",
     "spawn_seeds",
@@ -69,9 +39,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
-
-#: Schema tag of per-point checkpoint files (resume validation).
-POINT_SCHEMA = "repro.harness/sweep-point/v1"
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -91,30 +58,11 @@ def spawn_seeds(seed: int, n: int) -> List[int]:
     return [child_seed(seed, i) for i in range(n)]
 
 
-def backoff_delay(
-    seed: int, index: int, attempt: int, *, base: float, cap: float
-) -> float:
-    """Seconds to wait after failed ``attempt`` (0-based) of point
-    ``index`` before the next attempt.
-
-    Exponential growth (``base * 2**attempt``) clamped at ``cap``, then
-    jittered into ``[0.5x, 1.0x]`` by a uniform draw from an RNG seeded
-    with the failed attempt's own child seed — fully reproducible from
-    ``(seed, index, attempt)``, no process-global RNG touched.
-    """
-    if base <= 0:
-        return 0.0
-    raw = min(cap, base * (2.0 ** attempt))
-    u = random.Random(child_seed(child_seed(seed, index), attempt)).random()
-    return raw * (0.5 + 0.5 * u)
-
-
 def task_hash(fn: Callable, task: Tuple) -> str:
     """Short content hash of ``(fn, task)`` identifying one sweep point.
 
-    Used to key checkpoints (so resuming against changed parameters
-    re-runs rather than reuses) and stamped into failure records so a
-    failed point is identifiable from the artifact alone.
+    Stamped into :class:`SweepPointError` so a failed point is
+    identifiable from the error alone.
     """
     ident = (
         f"{getattr(fn, '__module__', '?')}."
@@ -128,409 +76,66 @@ def _task_repr(task: Tuple, limit: int = 200) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-@dataclass
-class FailedRun:
-    """Structured record of a sweep point that exhausted its attempts.
-
-    Appears in the result list (``failures="collect"``) and in checkpoint
-    artifacts instead of aborting the whole sweep; carries everything
-    needed to reproduce the point: its index, config hash, the re-derived
-    child seed of every attempt, and the per-attempt error history.
-    """
-
-    index: int
-    error_type: str
-    error: str
-    attempts: int
-    timed_out: bool
-    config_hash: str
-    task: str
-    child_seeds: List[int] = field(default_factory=list)
-    history: List[Dict[str, Any]] = field(default_factory=list)
-
-    SCHEMA = "repro.harness/failed-run/v1"
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": self.SCHEMA,
-            "index": self.index,
-            "error_type": self.error_type,
-            "error": self.error,
-            "attempts": self.attempts,
-            "timed_out": self.timed_out,
-            "config_hash": self.config_hash,
-            "task": self.task,
-            "child_seeds": list(self.child_seeds),
-            "history": [dict(h) for h in self.history],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "FailedRun":
-        return cls(
-            index=data["index"],
-            error_type=data.get("error_type", "?"),
-            error=data.get("error", ""),
-            attempts=data.get("attempts", 1),
-            timed_out=data.get("timed_out", False),
-            config_hash=data.get("config_hash", ""),
-            task=data.get("task", ""),
-            child_seeds=list(data.get("child_seeds", [])),
-            history=[dict(h) for h in data.get("history", [])],
-        )
-
-
 class SweepPointError(ReproError):
-    """A sweep point failed (``failures="raise"``), wrapped with context.
+    """A sweep point raised; the exception is wrapped with its context.
 
-    Carries the :class:`FailedRun` record plus its headline fields as
-    attributes, so the point index, config hash and child seed survive
-    into logs and artifacts instead of a bare pool exception.
+    ``index`` is the point's position in the task list, ``task`` a
+    (truncated) repr of its arguments, ``config_hash`` its
+    :func:`task_hash`, and ``child_seed`` the point's seed
+    ``child_seed(seed, index)`` — the value
+    :meth:`~repro.harness.RunContext.child_seed` hands the same point.
+    The original exception is the ``__cause__``.
     """
 
-    def __init__(self, failure: FailedRun) -> None:
-        self.failure = failure
-        self.index = failure.index
-        self.config_hash = failure.config_hash
-        self.child_seed = (
-            failure.child_seeds[-1] if failure.child_seeds else None
-        )
-        if failure.timed_out:
-            cause = "timed out"
-        else:
-            first_line = failure.error.splitlines()[0] if failure.error else ""
-            cause = f"{failure.error_type}: {first_line}"
+    def __init__(
+        self, fn: Callable, task: Tuple, index: int, seed: int,
+        exc: BaseException,
+    ) -> None:
+        self.index = index
+        self.task = _task_repr(task)
+        self.config_hash = task_hash(fn, task)
+        self.child_seed = child_seed(seed, index)
+        first_line = str(exc).splitlines()[0] if str(exc) else ""
         super().__init__(
-            f"sweep point {failure.index} {failure.task} failed after "
-            f"{failure.attempts} attempt(s) [config {failure.config_hash}, "
-            f"child seed {self.child_seed}]: {cause}"
+            f"sweep point {index} {self.task} failed [config "
+            f"{self.config_hash}, child seed {self.child_seed}]: "
+            f"{type(exc).__name__}: {first_line}"
         )
 
 
-def _apply(fn: Callable, args: Tuple) -> Any:
-    return fn(*args)
-
-
-def _failure_entry(exc: BaseException) -> Dict[str, Any]:
-    return {
-        "error_type": type(exc).__name__,
-        "error": f"{exc}\n{traceback.format_exc()}",
-        "timed_out": False,
-    }
-
-
-def _failed_run(
-    index: int,
-    task: Tuple,
-    config_hash: str,
-    seed: int,
-    history: List[Dict[str, Any]],
-) -> FailedRun:
-    last = history[-1]
-    point_seed = child_seed(seed, index)
-    return FailedRun(
-        index=index,
-        error_type=last["error_type"],
-        error=last["error"],
-        attempts=len(history),
-        timed_out=bool(last["timed_out"]),
-        config_hash=config_hash,
-        task=_task_repr(task),
-        child_seeds=[child_seed(point_seed, a) for a in range(len(history))],
-        history=history,
-    )
-
-
-# -- checkpoint files (resume) ----------------------------------------------
-
-def _checkpoint_path(directory: Union[str, Path], index: int) -> Path:
-    return Path(directory) / f"point-{index:05d}.json"
-
-
-def _load_checkpoint(
-    directory: Union[str, Path], index: int, config_hash: str
-) -> Optional[Tuple[str, Any]]:
-    """``("ok", result)`` when a valid successful checkpoint exists.
-
-    Anything else — missing file, truncated JSON, schema or config-hash
-    mismatch, or a recorded failure — means "run this point (again)".
-    """
-    path = _checkpoint_path(directory, index)
-    if not path.exists():
-        return None
-    try:
-        data = load_json_checked(path, schema=POINT_SCHEMA)
-    except ArtifactError:
-        return None
-    if data.get("schema") != POINT_SCHEMA:
-        return None
-    if data.get("config_hash") != config_hash or data.get("status") != "ok":
-        return None
-    return ("ok", data.get("result"))
-
-
-def _write_checkpoint(
-    directory: Union[str, Path],
-    index: int,
-    config_hash: str,
-    outcome: Any,
-) -> None:
-    payload: Dict[str, Any] = {
-        "schema": POINT_SCHEMA,
-        "index": index,
-        "config_hash": config_hash,
-    }
-    if isinstance(outcome, FailedRun):
-        payload["status"] = "failed"
-        payload["failure"] = outcome.to_json_dict()
-    else:
-        payload["status"] = "ok"
-        payload["result"] = outcome[1]
-    try:
-        atomic_write_json(_checkpoint_path(directory, index), payload)
-    except TypeError:
-        # Result not JSON-serialisable: the sweep still returns it, the
-        # point just cannot be skipped by a future --resume.
-        pass
-
-
-# -- execution engines -------------------------------------------------------
-
-def _run_inline(
+def _gather(
     fn: Callable,
     tasks: Sequence[Tuple],
-    indices: Sequence[int],
-    *,
-    retries: int,
     seed: int,
-    hashes: Sequence[str],
-    backoff: float = 0.0,
-    backoff_cap: float = 30.0,
-) -> Dict[int, Any]:
-    """Serial in-process execution with retries (no timeout support)."""
-    tele = get_telemetry()
-    failed = 0
-    outcomes: Dict[int, Any] = {}
-    for done, index in enumerate(indices):
-        history: List[Dict[str, Any]] = []
-        for attempt in range(retries + 1):
-            try:
-                outcomes[index] = ("ok", fn(*tasks[index]))
-                break
-            except Exception as exc:
-                entry = _failure_entry(exc)
-                if attempt < retries and backoff > 0:
-                    delay = backoff_delay(
-                        seed, index, attempt, base=backoff, cap=backoff_cap
-                    )
-                    entry["backoff_s"] = round(delay, 6)
-                    time.sleep(delay)
-                history.append(entry)
-        else:
-            outcomes[index] = _failed_run(
-                index, tasks[index], hashes[index], seed, history
-            )
-            failed += 1
-        if tele is not None:
-            tele.heartbeat(kind="sweep", done=done + 1, total=len(indices),
-                           failed=failed)
-    return outcomes
+    outcomes: Sequence[Callable[[], Any]],
+) -> List[Any]:
+    """Call each point's outcome in task order, wrapping the first
+    failure with its point context."""
+    results = []
+    for index, (task, outcome) in enumerate(zip(tasks, outcomes)):
+        try:
+            results.append(outcome())
+        except Exception as exc:
+            raise SweepPointError(fn, task, index, seed, exc) from exc
+    return results
 
-
-def _point_worker(conn: Any, fn: Callable, task: Tuple) -> None:
-    """Subprocess body: run one point, ship ("ok", result) or ("err", ...)."""
-    try:
-        result = fn(*task)
-    except BaseException as exc:
-        payload = ("err", type(exc).__name__, f"{exc}\n{traceback.format_exc()}")
-    else:
-        payload = ("ok", result)
-    try:
-        conn.send(payload)
-    except Exception as exc:  # e.g. unpicklable result
-        conn.send(("err", type(exc).__name__, f"result not sendable: {exc}"))
-    finally:
-        conn.close()
-
-
-def _run_isolated(
-    fn: Callable,
-    tasks: Sequence[Tuple],
-    indices: Sequence[int],
-    *,
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    seed: int,
-    hashes: Sequence[str],
-    backoff: float = 0.0,
-    backoff_cap: float = 30.0,
-) -> Dict[int, Any]:
-    """Process-per-point execution: up to ``jobs`` live workers, each
-    attempt terminated at its deadline. A pool cannot cancel a running
-    task, which is exactly why hung points need their own process.
-
-    Retrying points re-enter the queue with a ``not_before`` launch time
-    (seeded exponential backoff), so they wait without blocking other
-    points' launches."""
-    import multiprocessing as mp
-    from multiprocessing.connection import wait as conn_wait
-
-    ctx = mp.get_context()
-    tele = get_telemetry()
-    retried = 0
-    #: (index, attempt, earliest monotonic launch time).
-    pending: deque = deque((index, 0, 0.0) for index in indices)
-    histories: Dict[int, List[Dict[str, Any]]] = {i: [] for i in indices}
-    live: Dict[Any, Tuple[int, int, Any, Optional[float]]] = {}
-    outcomes: Dict[int, Any] = {}
-
-    def settle(index: int, entry: Dict[str, Any], attempt: int) -> None:
-        nonlocal retried
-        histories[index].append(entry)
-        if attempt < retries:
-            retried += 1
-            not_before = 0.0
-            if backoff > 0:
-                delay = backoff_delay(
-                    seed, index, attempt, base=backoff, cap=backoff_cap
-                )
-                entry["backoff_s"] = round(delay, 6)
-                not_before = time.monotonic() + delay
-            pending.append((index, attempt + 1, not_before))
-        else:
-            outcomes[index] = _failed_run(
-                index, tasks[index], hashes[index], seed, histories[index]
-            )
-
-    while pending or live:
-        if tele is not None:
-            tele.heartbeat(
-                kind="sweep",
-                done=len(outcomes),
-                total=len(indices),
-                live=len(live),
-                failed=sum(
-                    1 for o in outcomes.values() if isinstance(o, FailedRun)
-                ),
-                retried=retried,
-            )
-        now = time.monotonic()
-        deferred: List[Tuple[int, int, float]] = []
-        while pending and len(live) < jobs:
-            index, attempt, not_before = pending.popleft()
-            if not_before > now:
-                deferred.append((index, attempt, not_before))
-                continue
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_point_worker,
-                args=(child_conn, fn, tasks[index]),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            deadline = None if timeout is None else time.monotonic() + timeout
-            live[parent_conn] = (index, attempt, proc, deadline)
-        pending.extendleft(reversed(deferred))
-        wakeups = [d for (_, _, _, d) in live.values() if d is not None]
-        if deferred and len(live) < jobs:
-            # Capacity is free but every launchable point is backing
-            # off: wake when the earliest becomes eligible.
-            wakeups.append(min(nb for (_, _, nb) in deferred))
-        if not live:
-            time.sleep(max(0.0, min(wakeups) - time.monotonic()))
-            continue
-        wait_for = (
-            max(0.0, min(wakeups) - time.monotonic()) if wakeups else None
-        )
-        ready = set(conn_wait(list(live), timeout=wait_for))
-        now = time.monotonic()
-        for conn in list(live):
-            index, attempt, proc, deadline = live[conn]
-            if conn in ready:
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    msg = (
-                        "err",
-                        "WorkerDied",
-                        f"worker exited with code {proc.exitcode} "
-                        "before sending a result",
-                    )
-                proc.join()
-                conn.close()
-                del live[conn]
-                if msg[0] == "ok":
-                    outcomes[index] = ("ok", msg[1])
-                else:
-                    settle(
-                        index,
-                        {"error_type": msg[1], "error": msg[2],
-                         "timed_out": False},
-                        attempt,
-                    )
-            elif deadline is not None and now >= deadline:
-                proc.terminate()
-                proc.join()
-                conn.close()
-                del live[conn]
-                settle(
-                    index,
-                    {
-                        "error_type": "TimeoutError",
-                        "error": (
-                            f"point exceeded timeout={timeout}s "
-                            f"(attempt {attempt + 1})"
-                        ),
-                        "timed_out": True,
-                    },
-                    attempt,
-                )
-    return outcomes
-
-
-# -- the sweep entry point ---------------------------------------------------
 
 def sweep(
     fn: Callable,
     tasks: Sequence[Tuple],
     *,
     jobs: Optional[int] = 1,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = 0.0,
-    backoff_cap: float = 30.0,
-    failures: str = "raise",
     seed: int = 0,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
 ) -> List[Any]:
     """Run ``fn(*task)`` for every task, returning results in task order.
 
     Args:
-        fn: A picklable (module-level) function when ``jobs > 1`` or
-            ``timeout`` is set.
+        fn: A picklable (module-level) function when ``jobs > 1``.
         tasks: One argument tuple per sweep point.
         jobs: ``1`` runs inline; ``> 1`` uses that many worker processes;
             ``None``/``0`` uses ``os.cpu_count()``.
-        timeout: Per-point wall-clock budget in seconds; a point past its
-            deadline is terminated (its attempt counts as failed).
-        retries: Extra attempts granted to a failed/timed-out point; each
-            attempt's re-derived child seed is recorded in the failure
-            record.
-        backoff: Base delay (seconds) of the seeded exponential backoff
-            between retry attempts (see :func:`backoff_delay`); ``0``
-            (default) retries immediately. Each wait is recorded as
-            ``backoff_s`` in that attempt's failure-history entry.
-        backoff_cap: Upper clamp (seconds) on the un-jittered delay.
-        failures: ``"raise"`` (default) raises :class:`SweepPointError`
-            on the first point that exhausts its attempts;
-            ``"collect"`` places a :class:`FailedRun` in the result list
-            instead, so one bad point cannot abort the sweep.
-        seed: The sweep's root seed — only used to *record* the
-            per-attempt child seeds in failure records.
-        checkpoint_dir: When given, completed points are persisted there
-            atomically and valid successful checkpoints are skipped on a
-            re-run (resume); failed or corrupt ones re-run.
+        seed: The sweep's root seed — only used to report the failed
+            point's child seed in :class:`SweepPointError`.
 
     Results are keyed and re-ordered by sweep point, never by completion
     order, so parallelism cannot change the output.
@@ -540,110 +145,12 @@ def sweep(
         jobs = os.cpu_count() or 1
     if jobs < 0:
         raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
-    if failures not in ("raise", "collect"):
-        raise ConfigurationError(
-            f"failures must be 'raise' or 'collect', got {failures!r}"
-        )
-    if retries < 0:
-        raise ConfigurationError(f"retries must be >= 0, got {retries}")
-    if backoff < 0:
-        raise ConfigurationError(f"backoff must be >= 0, got {backoff}")
-    if backoff_cap <= 0:
-        raise ConfigurationError(
-            f"backoff_cap must be positive, got {backoff_cap}"
-        )
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"timeout must be positive, got {timeout}")
-
-    robust = (
-        timeout is not None
-        or retries > 0
-        or failures == "collect"
-        or checkpoint_dir is not None
-    )
-    if not robust:
-        return _sweep_fast(fn, tasks, jobs, seed)
-
-    hashes = [task_hash(fn, task) for task in tasks]
-    outcomes: Dict[int, Any] = {}
-    pending: List[int] = []
-    for index in range(len(tasks)):
-        cached = (
-            _load_checkpoint(checkpoint_dir, index, hashes[index])
-            if checkpoint_dir is not None else None
-        )
-        if cached is not None:
-            outcomes[index] = cached
-        else:
-            pending.append(index)
-    if pending:
-        if timeout is not None or (jobs > 1 and len(pending) > 1):
-            fresh = _run_isolated(
-                fn, tasks, pending, jobs=jobs, timeout=timeout,
-                retries=retries, seed=seed, hashes=hashes,
-                backoff=backoff, backoff_cap=backoff_cap,
-            )
-        else:
-            fresh = _run_inline(
-                fn, tasks, pending, retries=retries, seed=seed, hashes=hashes,
-                backoff=backoff, backoff_cap=backoff_cap,
-            )
-        for index, outcome in fresh.items():
-            outcomes[index] = outcome
-            if checkpoint_dir is not None:
-                _write_checkpoint(checkpoint_dir, index, hashes[index], outcome)
-
-    results: List[Any] = []
-    for index in range(len(tasks)):
-        outcome = outcomes[index]
-        if isinstance(outcome, FailedRun):
-            if failures == "raise":
-                raise SweepPointError(outcome)
-            results.append(outcome)
-        else:
-            results.append(outcome[1])
-    return results
-
-
-def _sweep_fast(
-    fn: Callable, tasks: List[Tuple], jobs: int, seed: int
-) -> List[Any]:
-    """The zero-overhead path (no timeout/retries/collect/checkpoint):
-    inline loop or process pool, exceptions wrapped with point context."""
-    tele = get_telemetry()
     if jobs == 1 or len(tasks) <= 1:
-        results = []
-        for index, task in enumerate(tasks):
-            try:
-                results.append(fn(*task))
-            except Exception as exc:
-                raise SweepPointError(
-                    _failed_run(
-                        index, task, task_hash(fn, task), seed,
-                        [_failure_entry(exc)],
-                    )
-                ) from exc
-            if tele is not None:
-                tele.heartbeat(kind="sweep", done=index + 1,
-                               total=len(tasks))
-        return results
+        return _gather(
+            fn, tasks, seed, [functools.partial(fn, *t) for t in tasks]
+        )
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_apply, fn, task) for task in tasks]
-        results = []
-        for index, (future, task) in enumerate(zip(futures, tasks)):
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                raise SweepPointError(
-                    _failed_run(
-                        index, task, task_hash(fn, task), seed,
-                        [_failure_entry(exc)],
-                    )
-                ) from exc
-            if tele is not None:
-                tele.heartbeat(kind="sweep", done=index + 1,
-                               total=len(tasks))
-        return results
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        futures = [pool.submit(fn, *task) for task in tasks]
+        return _gather(fn, tasks, seed, [f.result for f in futures])

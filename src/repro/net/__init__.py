@@ -6,39 +6,31 @@ scheduler-equipped output ports (:mod:`~repro.net.link`,
 shortest-path routing (:mod:`~repro.net.routing`), traffic sources
 (:mod:`~repro.net.sources`), leaky-bucket shaping
 (:mod:`~repro.net.shaping`), delivery records (:mod:`~repro.net.sinks`),
-measurement probes (:mod:`~repro.net.monitors`), and the
+the service-trace probe (:mod:`~repro.net.monitors`), and the
 :class:`~repro.net.scenario.Network` builder that wires them together.
 """
 
 from .engine import Event, Simulator
 from .eventq import CalendarQueue, HeapQueue, make_queue
 from .link import Link
-from .monitors import BacklogMonitor, HopTrace, ServiceTrace, ThroughputMonitor
+from .monitors import ServiceTrace
 from .node import Node
 from .port import OutputPort
 from .routing import compute_next_hops, shortest_path
 from .scenario import FlowSpec, Network
 from .shaping import TokenBucketShaper
 from .sinks import DeliveryRecord, FlowRecord, SinkRegistry
-from .traceio import (
-    load_delivery_trace,
-    load_service_trace,
-    save_delivery_trace,
-    save_service_trace,
-)
 from .sources import (
     BurstSource,
     CBRSource,
     ExponentialOnOffSource,
     ParetoOnOffSource,
     PoissonSource,
-    TraceSource,
     TrafficSource,
     WindowSource,
 )
 
 __all__ = [
-    "BacklogMonitor",
     "BurstSource",
     "CBRSource",
     "CalendarQueue",
@@ -48,7 +40,6 @@ __all__ = [
     "ExponentialOnOffSource",
     "FlowRecord",
     "FlowSpec",
-    "HopTrace",
     "Link",
     "Network",
     "Node",
@@ -59,14 +50,9 @@ __all__ = [
     "SinkRegistry",
     "Simulator",
     "TokenBucketShaper",
-    "TraceSource",
     "TrafficSource",
     "WindowSource",
     "compute_next_hops",
-    "load_delivery_trace",
-    "load_service_trace",
     "make_queue",
-    "save_delivery_trace",
-    "save_service_trace",
     "shortest_path",
 ]

@@ -36,7 +36,6 @@ import time as _time
 from typing import Any, Callable, Dict, Optional, Union
 
 from ..core.errors import SimulationError
-from ..obs.telemetry import get_telemetry as _get_telemetry
 from .eventq import CalendarQueue, HeapQueue, make_queue
 
 __all__ = ["Event", "Simulator"]
@@ -255,17 +254,10 @@ class Simulator:
         # the documented "one branch per event" cost. Installing a hook
         # from inside a callback takes effect on the next run().
         hook = self.callback_hook
-        # Live telemetry (sweep workers set REPRO_TELEMETRY): heartbeat
-        # every 8192 events from the bounded loop. The fast-drain loop
-        # stays untouched — a telemetry writer simply routes runs through
-        # the general loop, whose per-event cost for the masked check is
-        # one AND plus a predictable branch.
-        tele = _get_telemetry()
         perf_counter = _time.perf_counter
         wall_start = perf_counter()
         try:
-            if until is None and max_events is None and hook is None \
-                    and tele is None:
+            if until is None and max_events is None and hook is None:
                 # The common full-drain case: no bound checks per event.
                 while queue.size:
                     event = pop()
@@ -298,12 +290,6 @@ class Simulator:
                         hook(event, perf_counter() - t0)
                     processed += 1
                     self._events_processed += 1
-                    if not processed & 8191 and tele is not None:
-                        tele.heartbeat(
-                            kind="engine",
-                            events=self._events_processed,
-                            sim_time=self._now,
-                        )
                     if max_events is not None and processed >= max_events:
                         break
         finally:

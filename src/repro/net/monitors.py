@@ -1,25 +1,20 @@
-"""Measurement probes: service traces, backlog and throughput sampling.
+"""Measurement probe: the per-port service trace.
 
 The fairness indices of :mod:`repro.analysis.fairness` are defined over a
 *service trace* — the timestamped sequence of (flow, bytes) transmissions
 at one output port. :class:`ServiceTrace` hooks a port's transmit-complete
-callback and accumulates exactly that. The sampling monitors poll state on
-a fixed period using the simulator's own event queue; because each tick
-reschedules the next, they accept a ``horizon`` (absolute stop time) and a
-``stop()`` method so an open-ended ``Simulator.run()`` still terminates
-once sources go quiet.
+callback and accumulates exactly that.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Tuple
 
 from ..core.packet import Packet
-from .engine import Simulator
 from .port import OutputPort
 
-__all__ = ["ServiceTrace", "BacklogMonitor", "ThroughputMonitor", "HopTrace"]
+__all__ = ["ServiceTrace"]
 
 
 class ServiceTrace:
@@ -79,180 +74,3 @@ class ServiceTrace:
     def __len__(self) -> int:
         return len(self.entries)
 
-
-class HopTrace:
-    """Per-hop latency decomposition for one flow along a port list.
-
-    Subscribes to each port's transmit-complete hook and records, per
-    packet (keyed by uid), the completion time at every hop. The
-    decomposition then gives, for each hop, the time the packet spent
-    from the previous hop's completion (or creation) to this hop's —
-    i.e. queueing + serialisation + upstream propagation — which is how
-    the end-to-end bounds' per-node terms are checked empirically.
-    """
-
-    def __init__(self, ports, flow_id: Hashable) -> None:
-        self.ports = list(ports)
-        self.flow_id = flow_id
-        #: packet uid -> list of per-hop completion times (path order).
-        self._times: Dict[int, List[Optional[float]]] = {}
-        self._created: Dict[int, float] = {}
-        for index, port in enumerate(self.ports):
-            port.on_transmit.append(self._make_hook(index))
-
-    def _make_hook(self, index: int):
-        def hook(now: float, packet: Packet) -> None:
-            if packet.flow_id != self.flow_id:
-                return
-            times = self._times.get(packet.uid)
-            if times is None:
-                times = self._times[packet.uid] = [None] * len(self.ports)
-                self._created[packet.uid] = packet.created_at
-            times[index] = now
-
-        return hook
-
-    def per_hop_delays(self) -> List[List[float]]:
-        """For each fully traced packet: per-hop elapsed times (seconds).
-
-        Element ``[k]`` is the time from the previous hop's completion
-        (hop 0: from packet creation) to hop ``k``'s completion.
-        """
-        rows: List[List[float]] = []
-        for uid, times in self._times.items():
-            if any(t is None for t in times):
-                continue  # still in flight
-            previous = self._created[uid]
-            row = []
-            for t in times:
-                row.append(t - previous)  # type: ignore[operator]
-                previous = t  # type: ignore[assignment]
-            rows.append(row)
-        return rows
-
-    def worst_per_hop(self) -> List[float]:
-        """Max per-hop elapsed time over traced packets (path order)."""
-        rows = self.per_hop_delays()
-        if not rows:
-            return [0.0] * len(self.ports)
-        return [max(row[k] for row in rows) for k in range(len(self.ports))]
-
-
-class _PeriodicSampler:
-    """Self-rescheduling sampler with a stop switch and an optional horizon.
-
-    Without either, a sampler keeps one future event in the simulator's
-    queue forever, so ``Simulator.run()`` *without* ``until=`` would spin
-    on sampling ticks long after the traffic sources went quiet. Passing
-    ``horizon`` bounds the sampling to ``[start, horizon]``; calling
-    :meth:`stop` cancels the pending tick immediately. Either way the
-    event queue drains and an open-ended run terminates.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        interval: float,
-        start: float,
-        horizon: Optional[float] = None,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        self.sim = sim
-        self.interval = interval
-        self.horizon = horizon
-        self._stopped = False
-        self._pending = sim.schedule(start, self._tick)
-
-    def _tick(self) -> None:
-        self._pending = None
-        if self._stopped:
-            return
-        self._sample()
-        nxt = self.sim.now + self.interval
-        if self.horizon is not None and nxt > self.horizon:
-            return
-        self._pending = self.sim.schedule(self.interval, self._tick)
-
-    def _sample(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def stop(self) -> None:
-        """Stop sampling: cancel the pending tick (idempotent)."""
-        self._stopped = True
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-
-class BacklogMonitor(_PeriodicSampler):
-    """Samples a port's queued-packet count every ``interval`` seconds.
-
-    ``horizon`` (absolute simulation time) bounds the sampling so runs
-    without ``until=`` still terminate; ``stop()`` halts it early.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        port: OutputPort,
-        interval: float = 0.01,
-        *,
-        horizon: Optional[float] = None,
-    ) -> None:
-        self.port = port
-        self.samples: List[Tuple[float, int]] = []
-        super().__init__(sim, interval, start=0.0, horizon=horizon)
-
-    def _sample(self) -> None:
-        self.samples.append((self.sim.now, self.port.backlog))
-
-    @property
-    def max_backlog(self) -> int:
-        return max((b for _t, b in self.samples), default=0)
-
-    @property
-    def mean_backlog(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(b for _t, b in self.samples) / len(self.samples)
-
-
-class ThroughputMonitor(_PeriodicSampler):
-    """Per-flow delivered-bytes-per-interval series from a sink registry.
-
-    ``horizon``/``stop()`` bound the self-rescheduling exactly as for
-    :class:`BacklogMonitor`.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        sink_registry,
-        interval: float = 0.1,
-        *,
-        horizon: Optional[float] = None,
-    ) -> None:
-        self.sinks = sink_registry
-        self._last: Dict[Hashable, int] = {}
-        #: flow_id -> list of (window_end_time, bits_per_second).
-        self.series: Dict[Hashable, List[Tuple[float, float]]] = {}
-        super().__init__(sim, interval, start=interval, horizon=horizon)
-
-    def _sample(self) -> None:
-        now = self.sim.now
-        for fid, rec in self.sinks.flows.items():
-            prev = self._last.get(fid, 0)
-            delta = rec.bytes - prev
-            self._last[fid] = rec.bytes
-            self.series.setdefault(fid, []).append(
-                (now, delta * 8.0 / self.interval)
-            )
-
-    def rates(self, flow_id: Hashable) -> List[float]:
-        """The bps series for ``flow_id`` (empty if never seen)."""
-        return [r for _t, r in self.series.get(flow_id, [])]

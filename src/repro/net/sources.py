@@ -1,4 +1,4 @@
-"""Traffic sources: CBR, Poisson, on/off (Pareto/exponential), bursts, traces.
+"""Traffic sources: CBR, Poisson, on/off (Pareto/exponential), bursts, windows.
 
 Sources are bound to an emission callback by the
 :class:`~repro.net.scenario.Network` builder (``emit(size)`` creates a
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 from ..core.errors import ConfigurationError
 from .engine import Simulator
@@ -28,7 +28,6 @@ __all__ = [
     "ParetoOnOffSource",
     "ExponentialOnOffSource",
     "BurstSource",
-    "TraceSource",
     "WindowSource",
 ]
 
@@ -430,18 +429,3 @@ class WindowSource(TrafficSource):
     def _exhausted(self) -> bool:
         return self.total is not None and self.packets_emitted >= self.total
 
-
-class TraceSource(TrafficSource):
-    """Replay an explicit ``(time, size)`` schedule."""
-
-    def __init__(self, events: Iterable[Tuple[float, int]]) -> None:
-        super().__init__()
-        self.events: Sequence[Tuple[float, int]] = sorted(events)
-        for t, size in self.events:
-            if t < 0 or size <= 0:
-                raise ConfigurationError(f"bad trace event ({t}, {size})")
-
-    def start(self) -> None:
-        assert self.sim is not None
-        for t, size in self.events:
-            self.sim.schedule_at(max(t, self.sim.now), self.emit, size)

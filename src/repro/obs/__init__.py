@@ -1,6 +1,6 @@
 """repro.obs — the unified observability layer.
 
-Four complementary views of a run, all deterministic and all cheap (or
+Three complementary views of a run, all deterministic and all cheap (or
 free) when disabled:
 
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and
@@ -14,9 +14,6 @@ free) when disabled:
 * :mod:`repro.obs.profile` — per-dequeue op-count and WSS-scan-length
   distributions, the empirical evidence behind the paper's O(1) claim
   (experiment E5's p50/p99/max columns).
-* :mod:`repro.obs.telemetry` — per-run JSONL heartbeat frames from
-  long-running workers, watched live by ``python -m repro.obs top``
-  (:mod:`repro.obs.top`).
 
 ``python -m repro.obs report results/<exp>/<run>.json`` renders the
 metrics block of any artifact. See docs/observability.md.
@@ -39,14 +36,7 @@ from .metrics import (
 )
 from .profile import DequeueProfiler, percentile
 from .report import load_metrics_block, render_metrics, split_key
-from .telemetry import (
-    TELEMETRY_ENV_VAR,
-    TelemetryWriter,
-    get_telemetry,
-    read_telemetry,
-    set_telemetry,
-)
-from .trace import EVENT_KINDS, Tracer, get_tracer, set_tracer, trace_network
+from .trace import EVENT_KINDS, Tracer, get_tracer, set_tracer
 
 __all__ = [
     "Counter",
@@ -59,22 +49,16 @@ __all__ = [
     "NULL_REGISTRY",
     "NullRegistry",
     "OPS_BUCKETS",
-    "TELEMETRY_ENV_VAR",
-    "TelemetryWriter",
     "Tracer",
     "get_registry",
-    "get_telemetry",
     "get_tracer",
     "load_metrics_block",
     "log10_buckets",
     "log2_buckets",
     "metric_key",
     "percentile",
-    "read_telemetry",
     "render_metrics",
     "set_registry",
-    "set_telemetry",
     "set_tracer",
     "split_key",
-    "trace_network",
 ]

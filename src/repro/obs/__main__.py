@@ -1,19 +1,16 @@
-"""``python -m repro.obs`` — observability CLI (artifacts + live runs)."""
+"""``python -m repro.obs`` — observability CLI over run artifacts."""
 
 import argparse
 import sys
 from typing import List
 
 from .report import load_metrics_block, render_metrics
-from .top import DEFAULT_STALL_AFTER_S
-from .top import main as top_main
 
 
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Inspect the observability data of results/ artifacts "
-                    "and watch running sweeps live.",
+        description="Inspect the observability data of results/ artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser(
@@ -27,35 +24,7 @@ def main(argv: List[str] = None) -> int:
         "--family", default=None,
         help="only show one metric family (e.g. dequeue_ops)",
     )
-    top = sub.add_parser(
-        "top", help="live dashboard over the telemetry files of a results "
-                    "dir (throughput, progress/ETA, stall detection)"
-    )
-    top.add_argument(
-        "target",
-        help="a results dir (scanned recursively) or one telemetry .jsonl",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="render a single snapshot and exit (CI / scripting mode)",
-    )
-    top.add_argument(
-        "--interval", type=float, default=2.0, metavar="S",
-        help="refresh period in seconds (default 2)",
-    )
-    top.add_argument(
-        "--stall-after", type=float, default=DEFAULT_STALL_AFTER_S,
-        metavar="S",
-        help="flag a source STALLED after this many frameless seconds "
-             f"(default {DEFAULT_STALL_AFTER_S:g})",
-    )
     args = parser.parse_args(argv)
-
-    if args.command == "top":
-        return top_main(
-            args.target, once=args.once, interval_s=args.interval,
-            stall_after=args.stall_after,
-        )
 
     status = 0
     for path in args.artifacts:

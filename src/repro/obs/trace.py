@@ -32,7 +32,6 @@ __all__ = [
     "Tracer",
     "get_tracer",
     "set_tracer",
-    "trace_network",
 ]
 
 #: The typed event vocabulary (meta events like ``sim_event`` ride along).
@@ -189,16 +188,3 @@ def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
     previous = _active
     _active = tracer
     return previous
-
-
-def trace_network(net: Any, tracer: Tracer) -> Tracer:
-    """Wire ``tracer`` into every output port of an existing network.
-
-    Ports pick the active tracer up at construction; this helper
-    retrofits one onto a network built earlier (or built while a
-    different tracer was active).
-    """
-    for node in net.nodes.values():
-        for port in node.ports.values():
-            port.tracer = tracer
-    return tracer

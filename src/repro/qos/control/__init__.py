@@ -20,8 +20,7 @@ This package closes the loop:
   when measured load invalidates the assumed-max-flows bound, and nudge
   SRR weights / DRR quanta toward per-class delay SLOs.
 * :mod:`~repro.qos.control.plane` — :class:`ControlPlane`, the periodic
-  controller tying it all together and exporting counters/gauges plus
-  live ``control`` telemetry frames for ``python -m repro.obs top``.
+  controller tying it all together and exporting counters/gauges.
 """
 
 from .estimators import EWMARateEstimator, RateEstimatorBank, WindowRateEstimator

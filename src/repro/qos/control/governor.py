@@ -93,7 +93,8 @@ class OverloadGovernor:
         Every live reservation is re-quoted against the measured per-port
         flow counts. A reservation whose honest re-quote exceeds
         ``quote_slack`` times its admission-time promise is revoked
-        (reason ``"quote_invalidated"``). Returns counts for telemetry.
+        (reason ``"quote_invalidated"``). Returns the pass's counts; the
+        control plane adds ``revoked`` to its revocations counter.
         """
         adm = self.admission
         requoted = 0

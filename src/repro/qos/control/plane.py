@@ -17,25 +17,21 @@
   best-effort while the load sits at/above the high watermark; re-quote
   and revoke when churn invalidates the booking bound) and the optional
   :class:`~repro.qos.control.governor.WeightAdapter`;
-* mirrors its state into the active metrics registry and emits
-  ``control`` telemetry frames for ``python -m repro.obs top``.
+* mirrors its state into the active metrics registry.
 
 Determinism: every *decision* is a function of simulation state and the
-seeded shed RNG — wall time touches only telemetry emission, which
-affects nothing inside the run, so ``--jobs N`` and heap/calendar
+seeded shed RNG, never of wall time, so ``--jobs N`` and heap/calendar
 engines stay bit-identical.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ...core.errors import ConfigurationError
 from ...obs.metrics import MetricsRegistry
 from ...obs.metrics import get_registry as _active_registry
-from ...obs.telemetry import get_telemetry
 from .estimators import RateEstimatorBank
 from .governor import OverloadGovernor, WeightAdapter
 from .policy import WatermarkPolicy
@@ -136,10 +132,6 @@ class ControlPlane:
         self._c_revoked = registry.counter("control_revocations_total")
         self._c_demoted = registry.counter("control_demoted_total")
         self._c_reweights = registry.counter("control_reweights_total")
-        # Telemetry (wall-clock rate-limited; never feeds back into the
-        # simulation).
-        self._telemetry = get_telemetry()
-        self._last_frame_wall = float("-inf")
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -171,7 +163,6 @@ class ControlPlane:
         self._pending = self.network.sim.schedule(
             self.interval_s, self._tick
         )
-        self._emit_frame(force=True, event="armed")
         return self
 
     def stop(self) -> None:
@@ -183,7 +174,6 @@ class ControlPlane:
         if self._pending is not None:
             self._pending.cancel()
             self._pending = None
-        self._emit_frame(force=True, event="stopped")
 
     # -- estimator feeds -----------------------------------------------------
 
@@ -258,7 +248,6 @@ class ControlPlane:
             self._c_rejected.inc()
         else:
             self._c_shed.inc()
-        self._emit_frame()
         return decision.accepted
 
     def flow_left(self, flow_id: Hashable) -> None:
@@ -308,42 +297,11 @@ class ControlPlane:
                 self._c_revoked.inc(result["revoked"])
         if self.adapter is not None:
             self._c_reweights.inc(self.adapter.adapt(now))
-        self._emit_frame()
         nxt = now + self.interval_s
         if self.horizon is not None and nxt > self.horizon:
             return
         self._pending = self.network.sim.schedule(
             self.interval_s, self._tick
-        )
-
-    # -- telemetry -----------------------------------------------------------
-
-    def _emit_frame(self, *, force: bool = False, event: str = "tick") -> None:
-        writer = self._telemetry
-        if writer is None:
-            return
-        wall = time.monotonic()
-        if not force and wall - self._last_frame_wall < 1.0:
-            return
-        self._last_frame_wall = wall
-        revocations = (
-            self.admission.revocations if self.admission is not None else 0
-        )
-        writer.frame(
-            "control",
-            event=event,
-            sim_now=self.network.sim.now,
-            load=round(self.load(), 4),
-            zone=self.zone,
-            admitted=self.policy.admitted,
-            shed=self.policy.shed,
-            rejected=self.policy.rejected,
-            revocations=revocations,
-            demoted=(
-                self.governor.demoted_packets
-                if self.governor is not None else 0
-            ),
-            slo_violations=len(self.watchdog.violations),
         )
 
     # -- reporting -----------------------------------------------------------

@@ -178,7 +178,7 @@ class SLOWatchdog:
         return slo.worst_s if slo is not None else 0.0
 
     def summary(self) -> Dict[str, Any]:
-        """Compact dict for metrics/telemetry snapshots."""
+        """Compact dict for the control plane's snapshot."""
         return {
             "watched": len(self._flows),
             "violations": len(self.violations),

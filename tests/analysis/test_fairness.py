@@ -6,7 +6,6 @@ from repro.core import ConfigurationError
 from repro.analysis import (
     gap_statistics,
     jain_index,
-    service_fairness_index,
     worst_case_lag,
 )
 
@@ -55,49 +54,6 @@ def bursty_trace(n_rounds, burst=8, size=100):
     return trace
 
 
-class TestSFI:
-    def test_zero_for_perfect_interleave_full_window(self):
-        trace = interleaved_trace(50)
-        sfi = service_fairness_index(
-            trace, {"a": 1, "b": 1}, window=2.0, step=2.0
-        )
-        assert sfi == pytest.approx(0.0)
-
-    def test_bursty_trace_scores_worse(self):
-        smooth = service_fairness_index(
-            interleaved_trace(50), {"a": 1, "b": 1}, window=8.0
-        )
-        bursty = service_fairness_index(
-            bursty_trace(13), {"a": 1, "b": 1}, window=8.0
-        )
-        assert bursty > smooth + 100
-
-    def test_weights_normalise(self):
-        # a served twice as often with weight 2: perfectly fair.
-        trace = []
-        t = 0.0
-        for _ in range(30):
-            for fid in ("a", "a", "b"):
-                t += 1.0
-                trace.append((t, fid, 100))
-        sfi = service_fairness_index(
-            trace, {"a": 2, "b": 1}, window=3.0, step=3.0
-        )
-        assert sfi == pytest.approx(0.0)
-
-    def test_ignores_unlisted_flows(self):
-        trace = interleaved_trace(10) + [(100.0, "bg", 10000)]
-        sfi = service_fairness_index(trace, {"a": 1, "b": 1}, window=5.0)
-        assert sfi < 200
-
-    def test_empty_trace(self):
-        assert service_fairness_index([], {"a": 1}, window=1.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            service_fairness_index([(0, "a", 1)], {"a": 1}, window=0)
-
-
 class TestWorstCaseLag:
     def test_interleaved_small_lag(self):
         lag = worst_case_lag(interleaved_trace(50), {"a": 1, "b": 1})
@@ -112,58 +68,6 @@ class TestWorstCaseLag:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             worst_case_lag([], {"a": 0})
-
-
-class TestWorstCaseFairness:
-    def make_records(self, events):
-        from repro.net import DeliveryRecord
-
-        return [
-            DeliveryRecord("f", seq, size, created, delivered)
-            for seq, (size, created, delivered) in enumerate(events)
-        ]
-
-    def test_exactly_served_at_rate_gives_zero(self):
-        # rate 8000 bps = 1000 B/s; 100 B packets arrive together at t=0
-        # and leave every 0.1 s: delay of packet k = (k+1)*0.1 =
-        # backlog/r exactly.
-        from repro.analysis import worst_case_fairness
-
-        events = [(100, 0.0, 0.1 * (k + 1)) for k in range(5)]
-        wcf = worst_case_fairness(self.make_records(events), 8000)
-        assert wcf == pytest.approx(0.0, abs=1e-12)
-
-    def test_late_service_measured(self):
-        from repro.analysis import worst_case_fairness
-
-        # Single packet, no backlog beyond itself: due at 0.1, left 0.5.
-        events = [(100, 0.0, 0.5)]
-        wcf = worst_case_fairness(self.make_records(events), 8000)
-        assert wcf == pytest.approx(0.4)
-
-    def test_early_service_negative(self):
-        from repro.analysis import worst_case_fairness
-
-        events = [(100, 0.0, 0.05)]
-        wcf = worst_case_fairness(self.make_records(events), 8000)
-        assert wcf < 0
-
-    def test_backlog_accounting(self):
-        from repro.analysis import worst_case_fairness
-
-        # Packet 0 arrives at 0 and leaves late at 1.0; packet 1 arrives
-        # at 0.5 (packet 0 still queued -> backlog 200 B -> due 0.7).
-        events = [(100, 0.0, 1.0), (100, 0.5, 1.1)]
-        wcf = worst_case_fairness(self.make_records(events), 8000)
-        assert wcf == pytest.approx(0.9)  # packet 0's lateness dominates
-
-    def test_validation(self):
-        from repro.analysis import worst_case_fairness
-
-        with pytest.raises(ConfigurationError):
-            worst_case_fairness([], 8000)
-        with pytest.raises(ConfigurationError):
-            worst_case_fairness([], 0)
 
 
 class TestGapStats:

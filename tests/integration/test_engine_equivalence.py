@@ -13,7 +13,7 @@ from repro.bench.scenarios import single_bottleneck_network
 from repro.faults import FaultInjector, FaultSpec, build_fault_plan
 from repro.net import CBRSource, Network
 from repro.net.eventq import ENGINE_ENV_VAR
-from repro.obs.trace import Tracer, trace_network
+from repro.obs.trace import Tracer, set_tracer
 
 ENGINES = ("heap", "calendar")
 
@@ -75,9 +75,14 @@ class TestTraceIdentity:
             # backend must be chosen before the network is built —
             # exactly how the harness does it (REPRO_ENGINE).
             monkeypatch.setenv(ENGINE_ENV_VAR, kind)
-            net = single_bottleneck_network("srr", n_flows=8)
+            # Ports pick up the active tracer at construction, too.
+            tracer = Tracer(capacity=1 << 18)
+            previous = set_tracer(tracer)
+            try:
+                net = single_bottleneck_network("srr", n_flows=8)
+            finally:
+                set_tracer(previous)
             assert net.sim.queue_kind == kind
-            tracer = trace_network(net, Tracer(capacity=1 << 18))
             net.run(until=0.25)
             assert tracer.dropped == 0
             # Packet uids come from a process-global counter, so two

@@ -1,10 +1,9 @@
-"""Integration tests for the parking-lot topology + per-hop tracing."""
+"""Integration tests for the parking-lot topology."""
 
 import pytest
 
 from repro.core import ConfigurationError
 from repro.bench.scenarios import parking_lot_network
-from repro.net import HopTrace
 
 
 class TestParkingLot:
@@ -37,23 +36,6 @@ class TestParkingLot:
             worst[hops] = max(delays)
         assert mean[3] > mean[1] * 1.6
         assert worst[3] > worst[1]
-
-    def test_hop_trace_decomposition(self):
-        hops = 3
-        net = parking_lot_network("srr", hops=hops, cross_flows_per_hop=30)
-        ports = [net.port(f"R{i}", f"R{i + 1}") for i in range(hops)]
-        trace = HopTrace(ports, "tag")
-        net.run(until=2.0)
-        rows = trace.per_hop_delays()
-        assert rows, "no fully traced packets"
-        assert all(len(row) == hops for row in rows)
-        # Per-hop components are positive and sum to slightly less than
-        # the end-to-end delay (the final access hop is not traced).
-        delays = net.sinks.delays("tag")
-        assert max(sum(row) for row in rows) <= max(delays) + 1e-9
-        worst = trace.worst_per_hop()
-        assert len(worst) == hops
-        assert all(w > 0 for w in worst)
 
     def test_every_hop_contended(self):
         net = parking_lot_network("srr", hops=2, cross_flows_per_hop=40)

@@ -1,16 +1,6 @@
-"""Tests for measurement probes: ServiceTrace windows, HopTrace, and the
-self-terminating periodic samplers (stop()/horizon)."""
+"""Tests for the ServiceTrace probe: window queries and curves."""
 
-import pytest
-
-from repro.net import (
-    BacklogMonitor,
-    CBRSource,
-    HopTrace,
-    Network,
-    ServiceTrace,
-    ThroughputMonitor,
-)
+from repro.net import CBRSource, Network, ServiceTrace
 
 
 def two_hop_net():
@@ -69,133 +59,3 @@ class TestServiceTraceWindows:
         assert totals == sorted(totals)
         assert totals[-1] == sum(s for _t, f, s in trace.entries if f == "f1")
 
-
-class TestHopTrace:
-    def test_per_hop_decomposition(self):
-        net = two_hop_net()
-        net.add_flow("f1", "h", "d", weight=1)
-        hops = HopTrace(net.flows["f1"].ports, "f1")
-        net.attach_source(
-            "f1", CBRSource(rate_bps=80_000, packet_size=200, stop_at=0.3)
-        )
-        net.run(until=2.0)
-        rows = hops.per_hop_delays()
-        assert rows, "completed packets must be decomposed"
-        for row in rows:
-            assert len(row) == 2
-            assert all(d > 0 for d in row)
-            # Hop 2 crosses the 1 Mb/s bottleneck: serialisation alone
-            # is 1.6 ms, strictly more than hop 1's on the 10 Mb/s line.
-            assert row[1] > 200 * 8 / 10e6
-        worst = hops.worst_per_hop()
-        assert worst == [max(r[k] for r in rows) for k in (0, 1)]
-
-    def test_in_flight_packets_skipped(self):
-        net = two_hop_net()
-        net.add_flow("f1", "h", "d", weight=1)
-        hops = HopTrace(net.flows["f1"].ports, "f1")
-        net.attach_source(
-            "f1", CBRSource(rate_bps=80_000, packet_size=200, stop_at=0.5)
-        )
-        # Stop mid-flight: the first hop has transmitted packets the
-        # second has not, which must not crash or produce partial rows.
-        net.run(until=0.021)
-        partial = [
-            times for times in hops._times.values()
-            if any(t is None for t in times)
-        ]
-        assert partial, "test needs at least one packet still in flight"
-        for row in hops.per_hop_delays():
-            assert all(t is not None for t in row)
-
-    def test_ignores_other_flows(self):
-        net = two_hop_net()
-        net.add_flow("f1", "h", "d", weight=1)
-        net.add_flow("f2", "h", "d", weight=1)
-        hops = HopTrace(net.flows["f1"].ports, "f1")
-        for fid in ("f1", "f2"):
-            net.attach_source(
-                fid, CBRSource(rate_bps=40_000, packet_size=200, stop_at=0.2)
-            )
-        net.run(until=2.0)
-        rows = hops.per_hop_delays()
-        # Only f1's packets are traced, and f1's deliveries all complete.
-        assert len(rows) == net.sinks.flows["f1"].packets
-
-    def test_empty_trace_worst_is_zeros(self):
-        net = two_hop_net()
-        net.add_flow("f1", "h", "d", weight=1)
-        hops = HopTrace(net.flows["f1"].ports, "f1")
-        assert hops.worst_per_hop() == [0.0, 0.0]
-
-
-class TestSamplerTermination:
-    def test_interval_validated(self):
-        net = two_hop_net()
-        with pytest.raises(ValueError):
-            BacklogMonitor(net.sim, net.port("r", "d"), interval=0.0)
-
-    def test_open_ended_run_terminates_with_horizon(self):
-        net = two_hop_net()
-        mon = BacklogMonitor(
-            net.sim, net.port("r", "d"), interval=0.01, horizon=1.0
-        )
-        tput = ThroughputMonitor(
-            net.sim, net.sinks, interval=0.1, horizon=1.0
-        )
-        net.add_flow("f1", "h", "d", weight=1)
-        net.attach_source(
-            "f1", CBRSource(rate_bps=80_000, packet_size=200, stop_at=0.5)
-        )
-        net.compute_routes()
-        # No until=: this only returns because the samplers stop
-        # rescheduling past their horizon once the source goes quiet.
-        net.sim.run()
-        assert mon.samples and mon.samples[-1][0] <= 1.0
-        assert tput.series["f1"][-1][0] <= 1.0
-        assert net.sinks.flows["f1"].packets > 0
-
-    def test_stop_cancels_pending_tick(self):
-        net = two_hop_net()
-        mon = BacklogMonitor(net.sim, net.port("r", "d"), interval=0.01)
-        net.compute_routes()
-        net.sim.run(until=0.05)
-        count = len(mon.samples)
-        assert count >= 5
-        mon.stop()
-        assert mon.stopped
-        mon.stop()  # idempotent
-        net.sim.run(until=1.0)
-        assert len(mon.samples) == count
-
-    def test_stopped_before_first_tick_never_samples(self):
-        net = two_hop_net()
-        mon = BacklogMonitor(net.sim, net.port("r", "d"), interval=0.01)
-        mon.stop()
-        net.compute_routes()
-        net.sim.run(until=0.1)
-        assert mon.samples == []
-
-    def test_horizon_inclusive_edge(self):
-        net = two_hop_net()
-        mon = BacklogMonitor(
-            net.sim, net.port("r", "d"), interval=0.25, horizon=0.5
-        )
-        net.compute_routes()
-        net.sim.run(until=2.0)
-        # Ticks at 0, 0.25, 0.5 fire; the next (0.75) exceeds the horizon.
-        assert [t for t, _b in mon.samples] == pytest.approx(
-            [0.0, 0.25, 0.5]
-        )
-
-    def test_throughput_monitor_series(self):
-        net = two_hop_net()
-        tput = ThroughputMonitor(
-            net.sim, net.sinks, interval=0.1, horizon=1.0
-        )
-        run_cbr(net, stop_at=0.45, until=2.0)
-        rates = tput.rates("f1")
-        assert rates, "delivered traffic must appear in the series"
-        # CBR at 80 kb/s: full windows should measure about that.
-        assert max(rates) == pytest.approx(80_000, rel=0.25)
-        assert tput.rates("ghost") == []

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import Packet
 from repro.net import (
-    BacklogMonitor,
     BurstSource,
     CBRSource,
     DeliveryRecord,
@@ -13,7 +12,6 @@ from repro.net import (
     ServiceTrace,
     SinkRegistry,
     Simulator,
-    ThroughputMonitor,
 )
 
 
@@ -101,36 +99,3 @@ class TestServiceTrace:
         net.run(until=1.0)
         assert trace.slot_sequence() == ["a", "a", "a"]
 
-
-class TestBacklogMonitor:
-    def test_samples_queue_growth(self):
-        net = bottleneck_net()
-        net.add_flow("a", "h", "d", weight=1, max_queue=1000)
-        monitor = BacklogMonitor(net.sim, net.port("r", "d"), interval=0.01)
-        # 2 Mb/s into a 1 Mb/s link: backlog grows.
-        net.attach_source("a", CBRSource(2e6, packet_size=500))
-        net.run(until=0.5)
-        assert monitor.max_backlog > 50
-        assert 0 < monitor.mean_backlog <= monitor.max_backlog
-        # Samples are (time, int) pairs in time order.
-        times = [t for t, _b in monitor.samples]
-        assert times == sorted(times)
-
-
-class TestThroughputMonitor:
-    def test_per_interval_rates(self):
-        net = bottleneck_net()
-        net.add_flow("a", "h", "d", weight=1)
-        monitor = ThroughputMonitor(net.sim, net.sinks, interval=0.1)
-        net.attach_source("a", CBRSource(400_000, packet_size=500))
-        net.run(until=2.0)
-        rates = monitor.rates("a")
-        assert len(rates) >= 15
-        # Steady state: each window carries ~400 kb/s.
-        steady = rates[5:]
-        assert sum(steady) / len(steady) == pytest.approx(400_000, rel=0.1)
-
-    def test_unknown_flow_empty(self):
-        net = bottleneck_net()
-        monitor = ThroughputMonitor(net.sim, net.sinks)
-        assert monitor.rates("ghost") == []

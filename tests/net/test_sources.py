@@ -10,7 +10,6 @@ from repro.net import (
     ParetoOnOffSource,
     PoissonSource,
     Simulator,
-    TraceSource,
 )
 
 
@@ -141,19 +140,6 @@ class TestBurst:
         run_source(src, until=1.0)
         assert src.packets_emitted == 4
         assert src.bytes_emitted == 1000
-
-
-class TestTrace:
-    def test_replays_schedule(self):
-        src = TraceSource([(0.2, 100), (0.1, 300), (0.7, 50)])
-        emissions = run_source(src, until=1.0)
-        assert emissions == [(0.1, 300), (0.2, 100), (0.7, 50)]
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            TraceSource([(-1.0, 100)])
-        with pytest.raises(ConfigurationError):
-            TraceSource([(0.0, 0)])
 
 
 class TestDriftFreeGrids:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import CBRSource, Network, Simulator
-from repro.obs.trace import Tracer, get_tracer, set_tracer, trace_network
+from repro.obs.trace import Tracer, get_tracer, set_tracer
 
 
 @pytest.fixture
@@ -179,14 +179,6 @@ class TestPortEmission:
         net = small_net()
         port = next(iter(net.nodes["h"].ports.values()))
         assert port.tracer is None
-
-    def test_trace_network_retrofits(self):
-        net = small_net()
-        tr = Tracer()
-        assert trace_network(net, tr) is tr
-        for node in net.nodes.values():
-            for port in node.ports.values():
-                assert port.tracer is tr
 
 
 class TestCliFlag:
