@@ -28,8 +28,7 @@ def main() -> int:
     print()
     print("performance: python -m repro.perf [--quick] "
           "[--baseline BENCH_runtime.json]")
-    print("(event-loop/scheduler/end-to-end benches; --engine "
-          "heap|calendar on repro.bench)")
+    print("(event-loop/scheduler/end-to-end benches)")
     print()
     print("examples: see examples/*.py; docs: README.md, DESIGN.md,")
     print("EXPERIMENTS.md, docs/algorithms.md, docs/simulator.md,")

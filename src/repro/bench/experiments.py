@@ -1567,14 +1567,12 @@ class E16Params:
     packet_size: int = 250
     link_bps: float = 2_000_000.0
     quantum: int = 1500
-    engine: str = "heap"
 
 
 def _e16_point(
     discipline: str,
     n_flows: int,
     seed: int,
-    engine: str,
     utilization: float,
     horizon_s: float,
     packet_size: int,
@@ -1596,7 +1594,6 @@ def _e16_point(
     records = bounds_certification_run(
         discipline,
         [(f"f{i}", w) for i, w in enumerate(weights)],
-        engine=engine,
         link_bps=link_bps,
         packet_size=packet_size,
         utilization=utilization,
@@ -1639,7 +1636,7 @@ def _e16_body(p: E16Params, ctx: RunContext) -> Dict:
         for n in p.flow_counts:
             for _ in range(p.seeds_per_case):
                 tasks.append((
-                    d, n, ctx.child_seed(i), p.engine, p.utilization,
+                    d, n, ctx.child_seed(i), p.utilization,
                     p.horizon_s, p.packet_size, p.link_bps, p.quantum,
                 ))
                 i += 1

@@ -48,7 +48,6 @@ def run_config(
     scale: str = "default",
     jobs: int = 1,
     quiet: bool = True,
-    engine: Optional[str] = None,
     overrides: Optional[Mapping[str, Any]] = None,
 ) -> RunResult:
     """Run one experiment through the harness; return the full RunResult."""
@@ -60,7 +59,7 @@ def run_config(
         ) from None
     return run_spec(
         spec, seed=seed, scale=scale, jobs=jobs, quiet=quiet,
-        engine=engine, overrides=overrides,
+        overrides=overrides,
     )
 
 
@@ -114,12 +113,6 @@ def main(argv: List[str] = None) -> int:
         "--jobs", type=int, default=1,
         help="process-pool fan-out for sweeps; results are bit-identical "
              "to --jobs 1 (default 1; 0 = all cores)",
-    )
-    parser.add_argument(
-        "--engine", choices=("heap", "calendar"), default=None,
-        help="event-queue backend for every Simulator in the run "
-             "(default: REPRO_ENGINE env var, else calendar); results "
-             "are bit-identical across backends — only wall time differs",
     )
     parser.add_argument(
         "--set", dest="overrides", action="append", default=[],
@@ -231,7 +224,6 @@ def main(argv: List[str] = None) -> int:
                 scale=scale,
                 jobs=jobs,
                 quiet=args.quiet or args.json,
-                engine=args.engine,
                 overrides=overrides if args.experiment != "all" else {
                     k: v for k, v in overrides.items()
                     if k in SPECS[name].param_names()

@@ -36,7 +36,7 @@ from .corpus import (
     load_repro_artifact,
     write_repro_artifact,
 )
-from .oracles import check_scenario
+from .oracles import DEFAULT_FAMILIES, check_scenario, families_to_recheck
 from .runner import VARIANTS, run_scenario, variant_by_name
 from .scenario import generate_scenario
 from .shrink import shrink
@@ -48,21 +48,18 @@ def check_seed(
     seed: int,
     quick: bool = False,
     variant_names: Optional[Sequence[str]] = None,
-    engine_check: bool = False,
     bounds: bool = False,
-    bounds_engines: Sequence[str] = ("heap",),
 ) -> Dict[str, Any]:
     """Fuzz one seed across variants (module-level: sweep workers pickle
     it). Returns a JSON-able verdict record with a content digest.
 
     ``bounds=True`` adds the network-calculus certification family on
-    the disciplines with a service curve, replayed under each engine in
-    ``bounds_engines``."""
+    the disciplines with a service curve."""
     scenario = generate_scenario(seed, quick=quick)
     names = list(variant_names) if variant_names else [
         v.name for v in VARIANTS()
     ]
-    families: Sequence[str] = ("conservation", "lag", "metamorphic")
+    families: Sequence[str] = DEFAULT_FAMILIES
     if bounds:
         families = families + ("bounds",)
     violations: List[Dict[str, Any]] = []
@@ -72,9 +69,7 @@ def check_seed(
         run = run_scenario(variant, scenario)
         hasher.update(repr((seed, name, run.order_key())).encode())
         for v in check_scenario(variant, scenario, run=run,
-                                families=families,
-                                engine_check=engine_check,
-                                bounds_engines=tuple(bounds_engines)):
+                                families=families):
             violations.append(v.to_json_dict())
     return {
         "seed": seed,
@@ -107,9 +102,12 @@ def _fail_and_shrink(
     failing_variants = sorted({v["variant"] for v in record["violations"]})
     for name in failing_variants:
         variant = variant_by_name(name)
-        violations = check_scenario(variant, scenario)
+        families = families_to_recheck(
+            v["family"] for v in record["violations"] if v["variant"] == name
+        )
+        violations = check_scenario(variant, scenario, families=families)
         if not violations:
-            continue  # only tripped the engine oracle; keep full scenario
+            continue  # the recorded failure did not reproduce
         signature = _failure_signature(name, violations)
         if signature in shrunk_signatures:
             continue
@@ -147,17 +145,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--variants", default=None,
                         help="comma-separated variant subset "
                              "(default: all)")
-    parser.add_argument("--engine-every", type=int, default=10,
-                        help="run the heap-vs-calendar engine oracle on "
-                             "every Nth seed (0 disables; default 10)")
     parser.add_argument("--bounds", action="store_true",
                         help="also certify observed delays against the "
                              "network-calculus bounds (srr/drr/wrr/iwrr)")
-    parser.add_argument("--bounds-engine",
-                        choices=("heap", "calendar", "both"),
-                        default="heap",
-                        help="event engine(s) for the bounds "
-                             "certification replay (default heap)")
     parser.add_argument("--corpus", action="store_true",
                         help="replay the committed seed corpus instead "
                              "of random seeds")
@@ -184,7 +174,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.replay:
         repro = load_repro_artifact(args.replay)
         variant = variant_by_name(repro["variant"])
-        violations = check_scenario(variant, repro["scenario"])
+        families = families_to_recheck(
+            v["family"] for v in repro["violations"]
+        )
+        violations = check_scenario(variant, repro["scenario"],
+                                    families=families)
         payload = {
             "replay": str(args.replay),
             "variant": variant.name,
@@ -204,21 +198,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seeds = corpus_seeds()
     else:
         seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    bounds_engines = (
-        ("heap", "calendar") if args.bounds_engine == "both"
-        else (args.bounds_engine,)
-    )
-    tasks = [
-        (
-            seed,
-            args.quick,
-            variant_names,
-            bool(args.engine_every) and i % args.engine_every == 0,
-            args.bounds,
-            bounds_engines,
-        )
-        for i, seed in enumerate(seeds)
-    ]
+    tasks = [(seed, args.quick, variant_names, args.bounds) for seed in seeds]
     records = sweep(check_seed, tasks, jobs=args.jobs)
 
     digest = hashlib.sha256(
@@ -239,7 +219,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "seeds": len(seeds),
         "quick": args.quick,
         "bounds": bool(args.bounds),
-        "bounds_engines": list(bounds_engines) if args.bounds else [],
         "variants": variant_names or [v.name for v in VARIANTS()],
         "violations": n_violations,
         "failing_seeds": [r["seed"] for r in failing],

@@ -1,4 +1,4 @@
-"""The three oracle families of the conformance fuzzer.
+"""The oracle families of the conformance fuzzer.
 
 1. **Conservation laws** — properties every work-conserving packet
    scheduler must satisfy on any input: no livelock (progress per
@@ -24,10 +24,13 @@
 3. **Metamorphic invariances** — transformed replays that must agree
    with the original run: flow-ID relabeling (bit-identical service
    order), uniform weight doubling (bit-identical for normalised-share
-   disciplines, bound-equivalent for frame-based ones), and the ``heap``
-   vs ``calendar`` event-engine replay of a derived network scenario
-   (bit-identical delivery records). ``--jobs 1`` vs ``--jobs N``
-   identity is checked one level up, by the CLI, over result digests.
+   disciplines, bound-equivalent for frame-based ones). ``--jobs 1`` vs
+   ``--jobs N`` identity is checked one level up, by the CLI, over result
+   digests.
+
+4. **Delay-bound certification** (opt-in, ``--bounds``) — the scenario's
+   flows replayed on a derived bottleneck network, each flow's worst
+   delivery delay checked against its network-calculus bound.
 
 Bound constants carry a deliberate safety factor (they are upper
 envelopes, not tight constants); the tuning notes next to each formula
@@ -38,7 +41,9 @@ future tightening has data to lean on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..core.errors import ConfigurationError
 from .runner import (
@@ -51,24 +56,28 @@ from .runner import (
 from .scenario import FlowDef, Scenario
 
 __all__ = [
+    "DEFAULT_FAMILIES",
     "Violation",
     "bounds_certification_run",
     "check_bounds",
     "check_conservation",
     "check_fluid_lag",
     "check_metamorphic",
-    "check_engine_equivalence",
     "check_scenario",
+    "families_to_recheck",
     "fluid_lag",
     "lag_bound",
 ]
+
+#: The families every check runs; ``bounds`` is opt-in.
+DEFAULT_FAMILIES: Tuple[str, ...] = ("conservation", "lag", "metamorphic")
 
 
 @dataclass(frozen=True)
 class Violation:
     """One oracle failure, structured for artifacts and shrinking."""
 
-    family: str          # "conservation" | "lag" | "metamorphic"
+    family: str          # "conservation" | "lag" | "metamorphic" | "bounds"
     check: str           # specific oracle, e.g. "livelock", "fifo_order"
     variant: str
     message: str
@@ -469,107 +478,6 @@ def _first_divergence(a: ScenarioRun, b: ScenarioRun) -> int:
     return min(len(ka), len(kb))
 
 
-# -- engine (heap vs calendar) replay ---------------------------------------
-
-def check_engine_equivalence(
-    variant: Variant, scenario: Scenario
-) -> List[Violation]:
-    """Replay a derived network scenario under both event-queue backends.
-
-    The scheduler-level script above never touches the event engine, so
-    this oracle lifts the scenario's flows onto a two-node bottleneck
-    network driven by CBR sources (demand ~2x the link) and asserts the
-    full delivery-record sequence is bit-identical between
-    ``Simulator(queue="heap")`` and ``Simulator(queue="calendar")``.
-
-    The network path has no watchdog of its own, so the port schedulers
-    get a budgeted op counter: a scheduler that livelocks inside
-    ``_transmit_next`` becomes an ``engine_livelock`` violation instead
-    of hanging the whole fuzz run.
-    """
-    from .runner import LivelockError
-
-    records = []
-    for engine in ("heap", "calendar"):
-        try:
-            records.append(_engine_run(variant, scenario, engine))
-        except LivelockError:
-            return [Violation(
-                "metamorphic",
-                "engine_livelock",
-                variant.name,
-                f"scheduler livelocked inside the {engine} engine replay",
-                {"engine": engine},
-            )]
-    if records[0] != records[1]:
-        first = next(
-            (i for i, (x, y) in enumerate(zip(*records)) if x != y),
-            min(len(records[0]), len(records[1])),
-        )
-        return [Violation(
-            "metamorphic",
-            "engine",
-            variant.name,
-            f"heap vs calendar event engines diverged at delivery "
-            f"{first} ({len(records[0])} vs {len(records[1])} records)",
-            {"delivery": first},
-        )]
-    return []
-
-
-def _engine_run(
-    variant: Variant, scenario: Scenario, engine: str
-) -> List[Tuple]:
-    from ..net.scenario import Network
-    from ..net.sources import CBRSource
-    from .runner import _BudgetedOpCounter
-
-    link_bps = 2_000_000.0
-    kwargs = dict(variant.kwargs)
-    if variant.scheduler in ("drr", "srr"):
-        kwargs["quantum"] = scenario.quantum
-    # Backstop only (no per-packet progress marks here): honest replays
-    # with the floored weights below stay well under 10^5 ops total.
-    kwargs["op_counter"] = _BudgetedOpCounter(2_000_000)
-    net = Network(
-        default_scheduler=variant.scheduler,
-        default_scheduler_kwargs=kwargs,
-        engine=engine,
-    )
-    net.add_node("src")
-    net.add_node("dst")
-    net.add_link("src", "dst", link_bps, delay=0.001)
-    # Capture deliveries in arrival order (the registry itself only keeps
-    # per-flow lists, which would hide cross-flow interleaving changes).
-    records: List[Tuple] = []
-    net.sinks.add_listener(
-        lambda p: records.append(
-            (p.flow_id, p.seq, p.size, p.created_at, p.delivered_at)
-        )
-    )
-    flows = scenario.flows[:4] or (FlowDef("f0", 1, 1.0),)
-
-    def engine_weight(f: FlowDef):
-        # This oracle compares event-queue backends, not weight regimes;
-        # extreme fractional weights (1e-4 -> ~10^4 scheduler visits per
-        # packet) would make even honest replays dominate the fuzz run,
-        # so floor them. Both engines see the identical configuration.
-        if variant.fractional:
-            return max(float(f.frac_weight), 0.05)
-        return f.weight
-
-    total_w = sum(float(engine_weight(f)) for f in flows) or 1.0
-    for f in flows:
-        net.add_flow(f.flow_id, "src", "dst", engine_weight(f))
-        share = float(engine_weight(f)) / total_w
-        # ~2x overload in aggregate keeps the bottleneck busy throughout.
-        rate = max(2.0 * link_bps * share, 64_000.0)
-        size = 200 + 100 * (f.weight % 3)
-        net.attach_source(f.flow_id, CBRSource(rate, size, stop_at=0.18))
-    net.run(until=0.25)
-    return records
-
-
 # ---------------------------------------------------------------------------
 # Family 4: network-calculus delay-bound certification
 # ---------------------------------------------------------------------------
@@ -591,7 +499,6 @@ def bounds_certification_run(
     discipline: str,
     flow_weights: Sequence[Tuple[Any, float]],
     *,
-    engine: str = "heap",
     link_bps: float = _BOUNDS_LINK_BPS,
     prop_delay_s: float = _BOUNDS_PROP_DELAY_S,
     packet_size: int = 250,
@@ -602,8 +509,8 @@ def bounds_certification_run(
 ) -> List[Dict[str, Any]]:
     """Drive conformant CBR flows through a bottleneck; certify delays.
 
-    Builds the same two-node network as the engine oracle, computes each
-    flow's network-calculus delay bound (token-bucket arrival through the
+    Builds a two-node bottleneck network, computes each flow's
+    network-calculus delay bound (token-bucket arrival through the
     discipline's strict service curve, plus propagation), runs the
     simulation, and returns one record per flow with the certified bound
     and the worst observed delivery delay. Shared by the ``bounds``
@@ -630,7 +537,6 @@ def bounds_certification_run(
     net = Network(
         default_scheduler=discipline,
         default_scheduler_kwargs=kwargs,
-        engine=engine,
     )
     net.add_node("src")
     net.add_node("dst")
@@ -684,17 +590,12 @@ def bounds_certification_run(
     return records
 
 
-def check_bounds(
-    variant: Variant,
-    scenario: Scenario,
-    *,
-    engine: str = "heap",
-) -> List[Violation]:
+def check_bounds(variant: Variant, scenario: Scenario) -> List[Violation]:
     """Certify observed delays against network-calculus bounds.
 
-    The scheduler-level op script has no clock, so — like the engine
-    oracle — this lifts the scenario's flows and weights onto a derived
-    bottleneck network, computes each flow's closed-form delay bound from
+    The scheduler-level op script has no clock, so this lifts the
+    scenario's flows and weights onto a derived bottleneck network,
+    computes each flow's closed-form delay bound from
     :mod:`repro.analysis.netcalc`, and fails if any delivered packet
     exceeded it. Only disciplines with a certified service curve
     participate; every other variant is exempt (not silently passed —
@@ -706,10 +607,11 @@ def check_bounds(
         return []
 
     def bounds_weight(f: FlowDef) -> float:
-        # Same flooring as the engine oracle: extreme fractional weights
-        # make honest runs dominate the fuzz budget without exercising
-        # anything new in the curve math (the generic DRR latency covers
-        # the sub-packet-quantum regime analytically).
+        # Extreme fractional weights (1e-4 -> ~10^4 scheduler visits per
+        # packet) make honest runs dominate the fuzz budget without
+        # exercising anything new in the curve math (the generic DRR
+        # latency covers the sub-packet-quantum regime analytically), so
+        # floor them.
         if variant.fractional:
             return max(float(f.frac_weight), 0.05)
         return float(f.weight)
@@ -718,17 +620,14 @@ def check_bounds(
     flow_weights = [(f.flow_id, bounds_weight(f)) for f in flows]
     try:
         records = bounds_certification_run(
-            variant.scheduler, flow_weights, engine=engine,
-            quantum=scenario.quantum,
+            variant.scheduler, flow_weights, quantum=scenario.quantum,
         )
     except LivelockError:
         return [Violation(
             "bounds",
             "bounds_livelock",
             variant.name,
-            f"scheduler livelocked inside the {engine} bounds "
-            f"certification replay",
-            {"engine": engine},
+            "scheduler livelocked inside the bounds certification replay",
         )]
     out: List[Violation] = []
     for rec in records:
@@ -743,7 +642,7 @@ def check_bounds(
                 variant.name,
                 f"flow {rec['flow_id']!r} delivered no packets inside "
                 f"the certification horizon despite a conformant source",
-                {"flow_id": rec["flow_id"], "engine": engine},
+                {"flow_id": rec["flow_id"]},
             ))
         elif observed > rec["bound_s"] + 1e-9:
             out.append(Violation(
@@ -752,10 +651,9 @@ def check_bounds(
                 variant.name,
                 f"flow {rec['flow_id']!r} observed delay "
                 f"{observed * 1e3:.3f} ms exceeds the certified "
-                f"network-calculus bound {rec['bound_s'] * 1e3:.3f} ms "
-                f"({engine} engine)",
+                f"network-calculus bound {rec['bound_s'] * 1e3:.3f} ms",
                 {"flow_id": rec["flow_id"], "observed_s": observed,
-                 "bound_s": rec["bound_s"], "engine": engine},
+                 "bound_s": rec["bound_s"]},
             ))
     return out
 
@@ -764,15 +662,25 @@ def check_bounds(
 # Entry point
 # ---------------------------------------------------------------------------
 
+def families_to_recheck(recorded: Iterable[str]) -> Tuple[str, ...]:
+    """The families that re-check a recorded failure.
+
+    ``recorded`` names the families of the recorded violations. The
+    result is :data:`DEFAULT_FAMILIES` plus every other family named
+    there, so a failure only an opt-in family sees (``bounds``) is
+    re-checked by that family when it is shrunk or replayed.
+    """
+    extra = sorted(set(recorded) - set(DEFAULT_FAMILIES))
+    return DEFAULT_FAMILIES + tuple(extra)
+
+
 def check_scenario(
     variant: Variant,
     scenario: Scenario,
     *,
-    families: Sequence[str] = ("conservation", "lag", "metamorphic"),
-    engine_check: bool = False,
+    families: Sequence[str] = DEFAULT_FAMILIES,
     run: Optional[ScenarioRun] = None,
     op_budget: int = OP_BUDGET,
-    bounds_engines: Sequence[str] = ("heap",),
 ) -> List[Violation]:
     """Run one scenario through one variant and every requested oracle.
 
@@ -780,8 +688,6 @@ def check_scenario(
     determinism digest) skip the duplicate base run; ``op_budget`` sets
     the livelock watchdog's no-progress gap for every run performed here
     (the shrinker lowers it so livelocked candidates stay cheap).
-    ``bounds_engines`` selects which event engines the ``bounds`` family
-    (when requested) replays the certification network under.
     """
     if run is None:
         run = run_scenario(variant, scenario, op_budget=op_budget)
@@ -793,12 +699,6 @@ def check_scenario(
     if "metamorphic" in families:
         out.extend(check_metamorphic(variant, scenario, run,
                                      op_budget=op_budget))
-        # Engine replay only on otherwise-clean runs: a scheduler the
-        # other oracles already condemned makes backend comparison moot
-        # (and a livelocked one would burn the engine backstop budget).
-        if engine_check and not out:
-            out.extend(check_engine_equivalence(variant, scenario))
     if "bounds" in families and run.livelock_at is None:
-        for engine in bounds_engines:
-            out.extend(check_bounds(variant, scenario, engine=engine))
+        out.extend(check_bounds(variant, scenario))
     return out

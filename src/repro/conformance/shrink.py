@@ -8,9 +8,10 @@ result is the smallest scenario this greedy walk reaches, typically a
 couple of flows and a handful of ops, which is what lands in the repro
 artifact.
 
-The predicate re-runs the full oracle battery (minus the expensive
-network engine replay), so a shrunk repro is guaranteed to still fail
-when replayed from its artifact.
+The predicate re-runs the default oracle families plus any opt-in
+family the original failure tripped (:func:`~.oracles.families_to_recheck`,
+the same families ``--replay`` re-checks), so a shrunk repro is
+guaranteed to still fail when replayed from its artifact.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
-from .oracles import Violation, check_scenario
+from .oracles import Violation, check_scenario, families_to_recheck
 from .runner import OP_BUDGET, Variant
 from .scenario import Scenario
 
@@ -58,6 +59,7 @@ def shrink(
     """Minimise ``scenario`` while ``variant`` still fails the same
     oracle family; returns the shrunk scenario and its violations."""
     target = failure_families(violations)
+    families = families_to_recheck(target)
     calls = 0
     best_violations = list(violations)
 
@@ -67,7 +69,7 @@ def shrink(
             return None
         calls += 1
         try:
-            found = check_scenario(variant, candidate,
+            found = check_scenario(variant, candidate, families=families,
                                    op_budget=SHRINK_OP_BUDGET)
         except ReproError:
             # The transformation made the scenario outright invalid for
@@ -145,7 +147,8 @@ def shrink(
         # budget could (in principle) misread a slow-but-honest candidate
         # as livelocked, and the artifact must fail at replay time.
         try:
-            found = check_scenario(variant, current, op_budget=OP_BUDGET)
+            found = check_scenario(variant, current, families=families,
+                                   op_budget=OP_BUDGET)
         except ReproError:
             found = []
         if target & failure_families(found):

@@ -18,7 +18,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.tables import records_table
 from ..core.errors import ConfigurationError
-from ..net.eventq import QUEUE_KINDS
 from ..obs.metrics import MetricsRegistry
 from .sweep import child_seed, sweep
 
@@ -59,11 +58,6 @@ class ExperimentConfig:
     scale: str = "default"
     jobs: int = 1
     quiet: bool = True
-    #: Event-queue backend for every Simulator in the run (``"heap"`` /
-    #: ``"calendar"``); ``None`` leaves the process default in place.
-    #: Like ``jobs``, this cannot change results — only wall time — so
-    #: the stable result form excludes it.
-    engine: Optional[str] = None
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def to_json_dict(self) -> Dict[str, Any]:
@@ -73,7 +67,6 @@ class ExperimentConfig:
             "scale": self.scale,
             "jobs": self.jobs,
             "quiet": self.quiet,
-            "engine": self.engine,
             "params": _jsonable(dict(self.params)),
         }
 
@@ -85,7 +78,6 @@ class ExperimentConfig:
             scale=data.get("scale", "default"),
             jobs=data.get("jobs", 1),
             quiet=data.get("quiet", True),
-            engine=data.get("engine"),
             params=dict(data.get("params", {})),
         )
 
@@ -167,21 +159,15 @@ def build_config(
     scale: str = "default",
     jobs: int = 1,
     quiet: bool = True,
-    engine: Optional[str] = None,
     overrides: Optional[Mapping[str, Any]] = None,
 ) -> ExperimentConfig:
     """Resolve a full :class:`ExperimentConfig` for one run of ``spec``."""
-    if engine is not None and engine not in QUEUE_KINDS:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; choose from {sorted(QUEUE_KINDS)}"
-        )
     return ExperimentConfig(
         experiment=spec.eid,
         seed=seed,
         scale=scale,
         jobs=jobs,
         quiet=quiet,
-        engine=engine,
         params=resolve_params(spec, scale, overrides),
     )
 
@@ -252,13 +238,9 @@ class RunContext:
         Summable counters (event counts, wall times, op counts) from each
         sweep point are added together — except ``max_*`` high-water
         marks, which take the maximum — and the totals surface in
-        ``RunResult.engine``. String values (``queue_kind``) pass through
-        verbatim: every point in a run uses the same backend.
+        ``RunResult.engine``.
         """
         for key, value in stats.items():
-            if isinstance(value, str):
-                self.engine[key] = value
-                continue
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 continue
             if key.startswith("max_"):

@@ -128,10 +128,6 @@ class RunResult:
             data.pop(key, None)
         data["config"].pop("jobs", None)
         data["config"].pop("quiet", None)
-        # The event-queue backend pops in identical (time, seq) order on
-        # every kind, so it cannot change results either — the heap-vs-
-        # calendar artifact-identity tests compare this stable form.
-        data["config"].pop("engine", None)
         # Per-point engine records carry the same volatility (the
         # simulator's wall-time counter) down at point granularity, and
         # timing experiments measure wall clock as their data.

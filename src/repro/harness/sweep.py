@@ -12,7 +12,9 @@ a process-global RNG.
 Each point is a deterministic function of its task, so a failing point
 is not retried: the first one (in task order) aborts the sweep with a
 :class:`SweepPointError` that carries its index, task, config hash and
-child seed, so the point is reproducible from the error alone.
+child seed, so the point is reproducible from the error alone. On the
+pool path the points that have not started yet are cancelled first, so
+the error does not wait for the rest of the sweep.
 """
 
 from __future__ import annotations
@@ -153,4 +155,11 @@ def sweep(
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]
-        return _gather(fn, tasks, seed, [f.result for f in futures])
+        try:
+            return _gather(fn, tasks, seed, [f.result for f in futures])
+        except SweepPointError:
+            # The pool's exit waits for every queued point; cancel the
+            # ones not yet started so the error surfaces now.
+            for future in futures:
+                future.cancel()
+            raise

@@ -11,7 +11,7 @@ the service-trace probe (:mod:`~repro.net.monitors`), and the
 """
 
 from .engine import Event, Simulator
-from .eventq import CalendarQueue, HeapQueue, make_queue
+from .eventq import CalendarQueue
 from .link import Link
 from .monitors import ServiceTrace
 from .node import Node
@@ -36,7 +36,6 @@ __all__ = [
     "CalendarQueue",
     "DeliveryRecord",
     "Event",
-    "HeapQueue",
     "ExponentialOnOffSource",
     "FlowRecord",
     "FlowSpec",
@@ -53,6 +52,5 @@ __all__ = [
     "TrafficSource",
     "WindowSource",
     "compute_next_hops",
-    "make_queue",
     "shortest_path",
 ]

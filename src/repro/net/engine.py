@@ -10,16 +10,14 @@ Times are floats in seconds. The engine is deliberately minimal — no
 processes/coroutines — because packet-level models are naturally
 callback-shaped and this keeps the hot loop fast in pure Python.
 
-Event-queue backends: the queue is pluggable (:mod:`repro.net.eventq`).
-The default is the O(1)-amortised :class:`~repro.net.eventq.CalendarQueue`
-(ns-2's own choice of event list); ``Simulator(queue="heap")`` restores
-the seed's binary-heap behaviour. Both pop in exactly ``(time, seq)``
-order, so the backend cannot change simulation results — only wall time.
+Event queue: the O(1)-amortised :class:`~repro.net.eventq.CalendarQueue`
+(ns-2's own choice of event list), which pops in exactly ``(time, seq)``
+order.
 
 Observability: the engine keeps cheap counters (events processed,
 cancelled events reaped, maximum queue depth, cumulative wall time inside
 ``run``) exposed together by :meth:`Simulator.stats` along with the
-backend kind, and supports an optional per-callback timing hook
+queue's own counters, and supports an optional per-callback timing hook
 (:attr:`Simulator.callback_hook`) for profiling which model components
 dominate a run. The hot loop pays one ``is not None`` branch per event
 when the hook is unset; the attribute itself is read once per ``run()``
@@ -33,14 +31,12 @@ will actually fire).
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional
 
 from ..core.errors import SimulationError
-from .eventq import CalendarQueue, HeapQueue, make_queue
+from .eventq import CalendarQueue
 
 __all__ = ["Event", "Simulator"]
-
-_EventQueue = Union[HeapQueue, CalendarQueue]
 
 
 class Event:
@@ -75,11 +71,6 @@ class Event:
             self._sim = None
             sim._cancelled_pending += 1
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time:.9f}, seq={self.seq}{state})"
@@ -89,16 +80,14 @@ class Simulator:
     """Deterministic discrete-event scheduler.
 
     Args:
-        queue: Event-queue backend — a kind name (``"heap"`` /
-            ``"calendar"``), an already-built queue object, or ``None``
-            for the process default (the ``REPRO_ENGINE`` environment
-            variable, else the calendar queue).
+        queue: An already-built event queue (a profiling proxy, say);
+            ``None`` builds a fresh :class:`CalendarQueue`.
     """
 
-    def __init__(self, queue: Union[None, str, _EventQueue] = None) -> None:
-        if queue is None or isinstance(queue, str):
-            queue = make_queue(queue)
-        self._queue: _EventQueue = queue
+    def __init__(self, queue: Optional[CalendarQueue] = None) -> None:
+        if queue is None:
+            queue = CalendarQueue()
+        self._queue = queue
         self._now = 0.0
         self._seq = 0
         self._events_processed = 0
@@ -118,11 +107,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def queue_kind(self) -> str:
-        """The event-queue backend in use (``"heap"`` / ``"calendar"``)."""
-        return self._queue.kind
 
     @property
     def events_processed(self) -> int:
@@ -155,11 +139,7 @@ class Simulator:
         return self._queue.size - self._cancelled_pending
 
     def stats(self) -> Dict[str, Any]:
-        """All observability counters in one summable dict.
-
-        Values are numeric except ``queue_kind`` (the backend name, which
-        lands verbatim in the ``engine`` artifact block).
-        """
+        """All observability counters in one summable dict."""
         stats: Dict[str, Any] = {
             "events_processed": self._events_processed,
             "cancelled_reaped": self._cancelled_reaped,
@@ -167,7 +147,6 @@ class Simulator:
             "sim_wall_time_s": self._wall_time,
             "pending_events": self._queue.size,
             "pending_live": self._queue.size - self._cancelled_pending,
-            "queue_kind": self._queue.kind,
         }
         stats.update(self._queue.stats())
         return stats
@@ -302,5 +281,5 @@ class Simulator:
     def __repr__(self) -> str:
         return (
             f"Simulator(now={self._now:.6f}, pending={self._queue.size}, "
-            f"queue={self._queue.kind}, processed={self._events_processed})"
+            f"processed={self._events_processed})"
         )

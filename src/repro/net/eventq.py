@@ -1,33 +1,23 @@
-"""Pluggable event-queue backends for the simulation engine.
+"""The simulation engine's event queue: a calendar queue.
 
 The :class:`~repro.net.engine.Simulator` hot loop is one queue pop per
 event, so the queue's constant factors dominate every experiment's wall
-time. Two interchangeable backends are provided:
-
-:class:`HeapQueue`
-    The seed behaviour: a binary heap (:mod:`heapq`) of
-    :class:`~repro.net.engine.Event` objects. O(log n) per operation,
-    and — the real cost in CPython — every sift comparison is a Python
-    ``Event.__lt__`` call.
-
-:class:`CalendarQueue`
-    The default: a calendar queue in the spirit of Brown's O(1) priority
-    queue (CACM 1988), the structure ns-2 itself uses for its event
-    list — the event-engine analogue of the paper's O(1) scheduling
-    story. Events are hashed by time into width-``w`` buckets ("days");
-    the current bucket is sorted once (a C-level sort of plain tuples)
-    and drained by index, so the steady-state cost per event is one list
-    append plus an amortised share of one C sort — no per-comparison
-    Python calls at all. The bucket width adapts automatically to the
-    observed event density (see below).
+time. :class:`CalendarQueue` is a calendar queue in the spirit of
+Brown's O(1) priority queue (CACM 1988), the structure ns-2 itself uses
+for its event list — the event-engine analogue of the paper's O(1)
+scheduling story. Events are hashed by time into width-``w`` buckets
+("days"); the current bucket is sorted once (a C-level sort of plain
+tuples) and drained by index, so the steady-state cost per event is one
+list append plus an amortised share of one C sort — no per-comparison
+Python calls at all. The bucket width adapts automatically to the
+observed event density (see below).
 
 Determinism contract
 --------------------
-Both backends dequeue in exactly ``(time, seq)`` order: earlier times
-first, and ties broken by scheduling order. The equivalence is
-property-tested (random times, ties, cancellations, mid-run inserts) and
-asserted end-to-end: experiment artifacts are bit-identical under
-``--engine heap`` and ``--engine calendar``.
+The queue dequeues in exactly ``(time, seq)`` order: earlier times
+first, and ties broken by scheduling order. The order is property-tested
+against a sorted ``(time, seq)`` model (random times, ties,
+cancellations, mid-run inserts, resizes, extreme times).
 
 Calendar internals
 ------------------
@@ -51,32 +41,13 @@ is what keeps the near/far ordering invariant trivially true.
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import insort
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-from ..core.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from .engine import Event
 
-__all__ = [
-    "QUEUE_KINDS",
-    "DEFAULT_KIND",
-    "ENGINE_ENV_VAR",
-    "HeapQueue",
-    "CalendarQueue",
-    "make_queue",
-    "default_kind",
-]
-
-#: Environment variable consulted for the process-default backend. Set by
-#: the harness (``--engine``) before sweep pools spawn, so pool workers
-#: build their Simulators on the same backend as the parent.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: The fast backend is the default; ``heap`` is the seed behaviour.
-DEFAULT_KIND = "calendar"
+__all__ = ["CalendarQueue"]
 
 #: Epoch used for times where ``int(time / width)`` overflows (inf). Must
 #: sort after every finite epoch: the largest achievable one is
@@ -84,98 +55,35 @@ DEFAULT_KIND = "calendar"
 #: beyond it for any positive width.
 _FAR_EPOCH = 1 << 2200
 
-
-def default_kind() -> str:
-    """The process-default backend kind (``REPRO_ENGINE`` or calendar)."""
-    kind = os.environ.get(ENGINE_ENV_VAR, DEFAULT_KIND)
-    if kind not in QUEUE_KINDS:
-        raise ConfigurationError(
-            f"{ENGINE_ENV_VAR}={kind!r} is not a queue kind; "
-            f"choose from {sorted(QUEUE_KINDS)}"
-        )
-    return kind
-
-
-class HeapQueue:
-    """The seed backend: ``heapq`` over :class:`Event` objects."""
-
-    kind = "heap"
-
-    __slots__ = ("_heap", "size")
-
-    def __init__(self) -> None:
-        self._heap: List["Event"] = []
-        self.size = 0
-
-    def push(self, event: "Event") -> None:
-        heapq.heappush(self._heap, event)
-        self.size += 1
-
-    def pop(self) -> "Event":
-        event = heapq.heappop(self._heap)
-        self.size -= 1
-        return event
-
-    def peek(self) -> Optional["Event"]:
-        heap = self._heap
-        return heap[0] if heap else None
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __bool__(self) -> bool:
-        return self.size > 0
-
-    def stats(self) -> Dict[str, float]:
-        """Backend-specific observability counters."""
-        return {}
-
-    def __repr__(self) -> str:
-        return f"HeapQueue(pending={self.size})"
+#: Initial bucket width in seconds of simulated time. The width
+#: self-tunes, so this only matters for the first few promotions.
+_INITIAL_WIDTH = 0.01
+#: Desired events per bucket; the resize rules steer the observed bucket
+#: occupancy towards this.
+_TARGET_PER_BUCKET = 16
+#: A promoted bucket larger than this triggers a width recomputation
+#: (shrink) from its measured density.
+_RESIZE_HI = 512
+#: This many consecutive near-empty promotions double the width.
+_WIDEN_STREAK = 64
+#: Clamps for the adaptive width.
+_MIN_WIDTH = 1e-12
+_MAX_WIDTH = 1e6
 
 
 class CalendarQueue:
-    """Calendar queue: O(1) amortised enqueue/dequeue, width-adaptive.
+    """Calendar queue: O(1) amortised enqueue/dequeue, width-adaptive."""
 
-    Args:
-        width: Initial bucket width in seconds of simulated time. The
-            width self-tunes, so the default only matters for the first
-            few promotions.
-        target_per_bucket: Desired events per bucket; the resize rules
-            steer the observed bucket occupancy towards this.
-        resize_hi: A promoted bucket larger than this triggers a width
-            recomputation (shrink) from its measured density.
-        widen_streak: This many consecutive near-empty promotions double
-            the width.
-        min_width / max_width: Clamps for the adaptive width.
-    """
-
+    #: perfbench's ``TracedQueue`` proxy copies this; ``repro`` never reads it.
     kind = "calendar"
 
     __slots__ = (
         "_width", "_near", "_head", "_far", "_epochs", "_cur_epoch",
-        "size", "resizes", "_target", "_hi", "_widen_streak",
-        "_small_run", "_min_width", "_max_width",
+        "size", "resizes", "_small_run",
     )
 
-    def __init__(
-        self,
-        *,
-        width: float = 0.01,
-        target_per_bucket: int = 16,
-        resize_hi: int = 512,
-        widen_streak: int = 64,
-        min_width: float = 1e-12,
-        max_width: float = 1e6,
-    ) -> None:
-        if width <= 0:
-            raise ConfigurationError(f"bucket width must be > 0, got {width}")
-        if target_per_bucket < 1 or resize_hi < 2 * target_per_bucket:
-            raise ConfigurationError(
-                "need target_per_bucket >= 1 and "
-                "resize_hi >= 2 * target_per_bucket"
-            )
-        self._width = float(width)
+    def __init__(self) -> None:
+        self._width = _INITIAL_WIDTH
         #: Sorted (time, seq, event) tuples of the current epoch,
         #: consumed from ``_head`` (index-pop; no O(n) list shifts).
         self._near: List[Tuple[float, int, "Event"]] = []
@@ -189,12 +97,7 @@ class CalendarQueue:
         self.size = 0
         #: Number of automatic width changes (observability).
         self.resizes = 0
-        self._target = target_per_bucket
-        self._hi = resize_hi
-        self._widen_streak = widen_streak
         self._small_run = 0
-        self._min_width = min_width
-        self._max_width = max_width
 
     # -- core operations ----------------------------------------------------
 
@@ -260,7 +163,7 @@ class CalendarQueue:
         epoch = heapq.heappop(self._epochs)
         bucket = self._far.pop(epoch)
         n = len(bucket)
-        if n > self._hi:
+        if n > _RESIZE_HI:
             rewidth = self._density_width(bucket)
             if rewidth < self._width:
                 self._rebuild(rewidth, bucket)
@@ -269,11 +172,8 @@ class CalendarQueue:
                 n = len(bucket)
         if n <= 2:
             self._small_run += 1
-            if (
-                self._small_run >= self._widen_streak
-                and self._width < self._max_width
-            ):
-                self._rebuild(min(self._width * 2.0, self._max_width), bucket)
+            if self._small_run >= _WIDEN_STREAK and self._width < _MAX_WIDTH:
+                self._rebuild(min(self._width * 2.0, _MAX_WIDTH), bucket)
                 epoch = heapq.heappop(self._epochs)
                 bucket = self._far.pop(epoch)
         else:
@@ -284,7 +184,7 @@ class CalendarQueue:
         self._cur_epoch = epoch
 
     def _density_width(self, bucket: List[Tuple[float, int, "Event"]]) -> float:
-        """Width putting ~``target_per_bucket`` of this bucket's density
+        """Width putting ~``_TARGET_PER_BUCKET`` of this bucket's density
         in one bucket; clamped to guarantee an actual shrink."""
         lo = min(bucket)[0]
         hi = max(bucket)[0]
@@ -292,8 +192,8 @@ class CalendarQueue:
         if span <= 0.0:
             # Simultaneous events cannot be split by any width.
             return self._width
-        width = span * self._target / len(bucket)
-        return max(min(width, self._width / 2.0), self._min_width)
+        width = span * _TARGET_PER_BUCKET / len(bucket)
+        return max(min(width, self._width / 2.0), _MIN_WIDTH)
 
     def _rebuild(
         self, width: float, extra: List[Tuple[float, int, "Event"]]
@@ -328,7 +228,7 @@ class CalendarQueue:
         return self._width
 
     def stats(self) -> Dict[str, float]:
-        """Backend-specific observability counters."""
+        """Queue observability counters (merged into the engine stats)."""
         return {"queue_resizes": self.resizes}
 
     def __repr__(self) -> str:
@@ -337,26 +237,3 @@ class CalendarQueue:
             f"buckets={len(self._far)}, resizes={self.resizes})"
         )
 
-
-QUEUE_KINDS = {
-    "heap": HeapQueue,
-    "calendar": CalendarQueue,
-}
-
-
-def make_queue(kind: Optional[str] = None):
-    """Build an event queue: ``"heap"``, ``"calendar"``, or the default.
-
-    ``None`` resolves the process default (``REPRO_ENGINE`` environment
-    variable, else ``calendar``).
-    """
-    if kind is None:
-        kind = default_kind()
-    try:
-        factory = QUEUE_KINDS[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown event-queue kind {kind!r}; "
-            f"choose from {sorted(QUEUE_KINDS)}"
-        ) from None
-    return factory()

@@ -76,14 +76,19 @@ class FlowSpec:
 
 
 class Network:
-    """A simulated packet network with pluggable per-port schedulers."""
+    """A simulated packet network with pluggable per-port schedulers.
+
+    ``engine`` is an event-queue instance handed to the
+    :class:`~repro.net.engine.Simulator` (a profiling proxy, say);
+    ``None`` builds a fresh calendar queue.
+    """
 
     def __init__(
         self,
         default_scheduler: str = "drr",
         default_scheduler_kwargs: Optional[Dict] = None,
         *,
-        engine: Optional[str] = None,
+        engine: Optional[object] = None,
     ) -> None:
         self.sim = Simulator(queue=engine)
         self.nodes: Dict[str, Node] = {}

@@ -1,19 +1,14 @@
 """Performance measurement: microbenchmarks + regression gate.
 
-``python -m repro.perf`` times three layers — the raw event loop (heap
-vs calendar backend), per-scheduler dequeue cost, and an end-to-end
-E5-scale scenario — and writes a pytest-benchmark-compatible JSON
-document. The committed ``BENCH_runtime.json`` is the baseline every
-perf-affecting change is judged against (see ``docs/performance.md``).
+``python -m repro.perf`` times three layers — the raw event loop,
+per-scheduler dequeue cost, and an end-to-end E5-scale scenario — and
+writes a pytest-benchmark-compatible JSON document. The committed
+``BENCH_runtime.json`` is the baseline every perf-affecting change is
+judged against (see ``docs/performance.md``).
 """
 
 from .benchmarks import Benchmark, BenchResult, all_benchmarks, run_benchmark
-from .report import (
-    build_document,
-    compare,
-    fastpath_speedup,
-    speedup_summary,
-)
+from .report import build_document, compare, fastpath_speedup
 
 __all__ = [
     "Benchmark",
@@ -23,5 +18,4 @@ __all__ = [
     "compare",
     "fastpath_speedup",
     "run_benchmark",
-    "speedup_summary",
 ]

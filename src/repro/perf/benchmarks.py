@@ -3,10 +3,9 @@
 Three groups, each timing the layer above it:
 
 ``event_loop``
-    Raw :class:`~repro.net.engine.Simulator` throughput (events/s) under
-    the classic *hold* model — a standing population of self-rescheduling
-    events — for each queue backend. This is the bench the calendar-vs-
-    heap claim rests on.
+    Raw :class:`~repro.net.engine.Simulator` throughput (events/s) on
+    its calendar queue under the classic *hold* model — a standing
+    population of self-rescheduling events.
 
 ``scheduler_dequeue``
     Per-dequeue cost (packets/s) of saturated SRR/DRR/IWRR/WFQ
@@ -14,14 +13,17 @@ Three groups, each timing the layer above it:
 
 ``end_to_end``
     A full E5-scale network scenario (SRR bottleneck, hundreds of CBR
-    flows) run under each backend — the number every experiment actually
-    feels. A third entry replays the identical scenario through the
+    flows) on the event engine — the number every experiment actually
+    feels. A second entry replays the identical scenario through the
     lean loop (:mod:`repro.fastpath.netloop`) on SRR's scalar lane; its
     params carry ``core: "fast"`` instead of an ``engine`` key because
     no event queue is involved, and since its work items (packets
     delivered) are not commensurable with the event-loop runs' events,
     the lean-vs-engine ratio is compared on mean *round time*
     (:func:`repro.perf.report.fastpath_speedup`), not throughput.
+
+The engine rows keep their ``calendar`` name and ``engine`` param so
+they match the committed baseline rows by name.
 
 Each benchmark returns per-round wall times plus a work-item count, from
 which the report layer derives pytest-benchmark-compatible stats. Round
@@ -32,7 +34,6 @@ default-scale baseline.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from typing import Callable, Dict, List, Tuple
@@ -41,7 +42,6 @@ from ..bench.scenarios import single_bottleneck_network
 from ..bench.workloads import build_loaded_scheduler, geometric_weights
 from ..fastpath.netloop import run_single_bottleneck_fast
 from ..net.engine import Simulator
-from ..net.eventq import ENGINE_ENV_VAR
 
 __all__ = [
     "Benchmark",
@@ -50,11 +50,7 @@ __all__ = [
     "run_benchmark",
 ]
 
-#: Queue backends compared by the engine-level groups.
-_ENGINES = ("heap", "calendar")
-
-#: The event-loop hold model's standing event population (the acceptance
-#: bar is calendar >= 1.5x heap at >= 10k concurrent events).
+#: The event-loop hold model's standing event population.
 _HOLD_POPULATION = 10_000
 _HOLD_CHURN = 30_000
 
@@ -112,11 +108,11 @@ class BenchResult:
         return self.work_items / self.mean if self.mean > 0 else 0.0
 
 
-def _hold_round(kind: str, population: int, churn: int) -> Tuple[float, int]:
+def _hold_round(population: int, churn: int) -> Tuple[float, int]:
     """One hold-model round: time ``population + churn`` event pops."""
     rng = random.Random(42)
     deltas = [rng.random() * 0.02 for _ in range(4096)]
-    sim = Simulator(queue=kind)
+    sim = Simulator()
     state = [0]
 
     def tick() -> None:
@@ -151,23 +147,9 @@ def _dequeue_round(name: str, n_flows: int, pulls: int) -> Tuple[float, int]:
     return elapsed, pulls
 
 
-def _e2e_round(kind: str, n_flows: int, until: float) -> Tuple[float, int]:
-    """One end-to-end round: build and run an SRR bottleneck scenario.
-
-    The scenario builder owns its Simulator (ports capture it at link
-    creation), so the backend is selected the same way the harness does
-    it: through the process-default environment variable.
-    """
-    saved = os.environ.get(ENGINE_ENV_VAR)
-    os.environ[ENGINE_ENV_VAR] = kind
-    try:
-        net = single_bottleneck_network("srr", n_flows)
-    finally:
-        if saved is None:
-            os.environ.pop(ENGINE_ENV_VAR, None)
-        else:
-            os.environ[ENGINE_ENV_VAR] = saved
-    assert net.sim.queue_kind == kind
+def _e2e_round(n_flows: int, until: float) -> Tuple[float, int]:
+    """One end-to-end round: build and run an SRR bottleneck scenario."""
+    net = single_bottleneck_network("srr", n_flows)
     t0 = time.perf_counter()
     net.run(until=until)
     elapsed = time.perf_counter() - t0
@@ -184,17 +166,13 @@ def _e2e_fast_round(n_flows: int, until: float) -> Tuple[float, int]:
 
 def all_benchmarks() -> List[Benchmark]:
     """The full suite, in report order."""
-    benches: List[Benchmark] = []
-    for kind in _ENGINES:
-        benches.append(Benchmark(
-            "event_loop",
-            f"event_loop[{kind}-n{_HOLD_POPULATION}]",
-            {"engine": kind, "population": _HOLD_POPULATION,
-             "churn": _HOLD_CHURN},
-            lambda kind=kind: _hold_round(
-                kind, _HOLD_POPULATION, _HOLD_CHURN
-            ),
-        ))
+    benches: List[Benchmark] = [Benchmark(
+        "event_loop",
+        f"event_loop[calendar-n{_HOLD_POPULATION}]",
+        {"engine": "calendar", "population": _HOLD_POPULATION,
+         "churn": _HOLD_CHURN},
+        lambda: _hold_round(_HOLD_POPULATION, _HOLD_CHURN),
+    )]
     for sched in ("srr", "drr", "iwrr", "wfq"):
         for n in _DEQUEUE_SIZES:
             benches.append(Benchmark(
@@ -207,15 +185,14 @@ def all_benchmarks() -> List[Benchmark]:
                 rounds=3,
                 quick_rounds=1,
             ))
-    for kind in _ENGINES:
-        benches.append(Benchmark(
-            "end_to_end",
-            f"e2e_srr_bottleneck[{kind}-n{_E2E_FLOWS}]",
-            {"engine": kind, "n_flows": _E2E_FLOWS, "until": _E2E_UNTIL},
-            lambda kind=kind: _e2e_round(kind, _E2E_FLOWS, _E2E_UNTIL),
-            rounds=3,
-            quick_rounds=1,
-        ))
+    benches.append(Benchmark(
+        "end_to_end",
+        f"e2e_srr_bottleneck[calendar-n{_E2E_FLOWS}]",
+        {"engine": "calendar", "n_flows": _E2E_FLOWS, "until": _E2E_UNTIL},
+        lambda: _e2e_round(_E2E_FLOWS, _E2E_UNTIL),
+        rounds=3,
+        quick_rounds=1,
+    ))
     benches.append(Benchmark(
         "end_to_end",
         f"e2e_srr_bottleneck[fastpath-n{_E2E_FLOWS}]",

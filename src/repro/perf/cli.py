@@ -1,7 +1,7 @@
 """CLI for the perf suite: ``python -m repro.perf``.
 
 Default: run every benchmark at committed-baseline scale, print a
-throughput table plus the calendar-vs-heap speedups, and (with
+throughput table plus the lean-replay speedup, and (with
 ``--output``) write the pytest-benchmark-compatible JSON document.
 ``--baseline PATH`` additionally compares against a committed document
 and exits non-zero on regressions beyond ``--tolerance``.
@@ -15,12 +15,7 @@ import sys
 from typing import List, Optional
 
 from .benchmarks import all_benchmarks, run_benchmark
-from .report import (
-    build_document,
-    compare,
-    fastpath_speedup,
-    speedup_summary,
-)
+from .report import build_document, compare, fastpath_speedup
 
 __all__ = ["main"]
 
@@ -89,9 +84,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
 
-    speedups = speedup_summary(doc)
-    for group, ratio in sorted(speedups.items()):
-        print(f"calendar vs heap [{group}]: {ratio:.2f}x", file=sys.stderr)
     for group, ratio in sorted(fastpath_speedup(doc).items()):
         print(
             f"lean replay vs event engine [{group}]: {ratio:.2f}x",

@@ -19,9 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .benchmarks import BenchResult
 
-__all__ = [
-    "build_document", "compare", "speedup_summary", "fastpath_speedup",
-]
+__all__ = ["build_document", "compare", "fastpath_speedup"]
 
 SCHEMA = "repro.perf/bench/v1"
 
@@ -109,26 +107,6 @@ def build_document(results: Sequence[BenchResult]) -> Dict[str, Any]:
     }
 
 
-def speedup_summary(doc: Dict[str, Any]) -> Dict[str, float]:
-    """Calendar-vs-heap speedups derivable from one document.
-
-    Returns ``{"event_loop": x, "end_to_end": y}`` (throughput ratios,
-    calendar over heap) for whichever groups have both engines present.
-    """
-    by_group: Dict[str, Dict[str, float]] = {}
-    for bench in doc.get("benchmarks", []):
-        engine = bench.get("params", {}).get("engine")
-        if engine is None:
-            continue
-        rate = bench.get("extra_info", {}).get("throughput_per_s", 0.0)
-        by_group.setdefault(bench["group"], {})[engine] = rate
-    out: Dict[str, float] = {}
-    for group, rates in by_group.items():
-        if rates.get("heap") and rates.get("calendar"):
-            out[group] = rates["calendar"] / rates["heap"]
-    return out
-
-
 def fastpath_speedup(doc: Dict[str, Any]) -> Dict[str, float]:
     """Lean-replay-vs-event-engine speedups, per group, from one document.
 
@@ -136,9 +114,9 @@ def fastpath_speedup(doc: Dict[str, Any]) -> Dict[str, float]:
     throughput: the engine benches count events as work items while the
     lean loop counts packets, so their rates are not commensurable — but
     each pair runs the semantically identical workload, so wall time is.
-    The engine side is the calendar run (the faster engine, i.e. the
-    conservative denominator); the lean side is the entry whose params
-    carry ``core: "fast"`` and no ``engine``.
+    The engine side is the entry whose params carry ``engine:
+    "calendar"``; the lean side is the entry whose params carry
+    ``core: "fast"`` and no ``engine``.
     """
     objects: Dict[str, float] = {}
     fasts: Dict[str, float] = {}

@@ -4,8 +4,7 @@ Both estimators consume ``observe(now, nbytes)`` events — one call per
 packet arrival at an output port (or per delivery, for goodput) — and
 answer ``rate_bps(now)``. They are pure functions of their observation
 sequence: no wall clock, no RNG, so a ``--jobs N`` sweep sees
-bit-identical estimates to a serial run and heap vs calendar engines
-agree exactly (the event order is identical by construction).
+bit-identical estimates to a serial run.
 
 :class:`EWMARateEstimator` is the Lin/Morris time-sliding-window
 exponential estimator used by router line cards (and by sfctss's

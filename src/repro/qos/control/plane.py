@@ -20,8 +20,8 @@
 * mirrors its state into the active metrics registry.
 
 Determinism: every *decision* is a function of simulation state and the
-seeded shed RNG, never of wall time, so ``--jobs N`` and heap/calendar
-engines stay bit-identical.
+seeded shed RNG, never of wall time, so ``--jobs N`` runs stay
+bit-identical to serial ones.
 """
 
 from __future__ import annotations

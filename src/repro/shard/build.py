@@ -3,12 +3,12 @@
 :func:`build_network` adds every node, link, flow and source of the spec
 in spec order. The ordering IS the determinism contract: engine sequence
 numbers and scheduler state are allocated in add order, so two builds of
-the same spec run bit-identically on either event-queue backend.
+the same spec run bit-identically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.errors import ConfigurationError
 from ..net import sources as _sources
@@ -30,14 +30,11 @@ def make_source(kind: str, params: Dict[str, object]):
     return cls(**params)
 
 
-def build_network(
-    spec: TopologySpec, *, engine: Optional[str] = None
-) -> Network:
+def build_network(spec: TopologySpec) -> Network:
     """The reference build of ``spec``: its content added in spec order."""
     net = Network(
         default_scheduler=spec.default_scheduler,
         default_scheduler_kwargs=dict(spec.default_scheduler_kwargs),
-        engine=engine,
     )
     for node in spec.nodes:
         net.add_node(node.name)

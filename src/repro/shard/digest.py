@@ -4,8 +4,7 @@ The digest is a sha256 over every flow's ordered per-packet delivery
 stream — ``(seq, size, created_at, delivered_at)`` per delivered packet,
 flows visited in sorted order. Floats are hashed through ``repr`` (exact
 shortest round-trip form), so two runs digest equal iff their delivery
-records are bit-identical, the same standard the conformance fuzzer's
-``check_seed`` holds heap-vs-calendar runs to.
+records are bit-identical.
 
 ``Packet.uid`` is deliberately excluded: it is a process-global counter,
 so "the same" packet carries a different uid in a second run within one

@@ -84,7 +84,7 @@ class TestCheckSeed:
 
 class TestCli:
     def test_clean_run_exits_zero(self, tmp_path, capsys):
-        rc = main(["--seeds", "3", "--quick", "--engine-every", "0",
+        rc = main(["--seeds", "3", "--quick",
                    "--results-dir", str(tmp_path), "--json"])
         summary = json.loads(capsys.readouterr().out)
         assert rc == 0
@@ -95,8 +95,7 @@ class TestCli:
         digests = []
         for jobs in ("1", "2"):
             main(["--seeds", "6", "--quick", "--jobs", jobs,
-                  "--engine-every", "0", "--results-dir", str(tmp_path),
-                  "--json"])
+                  "--results-dir", str(tmp_path), "--json"])
             digests.append(json.loads(capsys.readouterr().out)["digest"])
         assert digests[0] == digests[1]
 
@@ -104,7 +103,6 @@ class TestCli:
         register_scheduler("drr", _TruncatingDRR)
         try:
             rc = main(["--seeds", "40", "--quick", "--variants", "drr",
-                       "--engine-every", "0",
                        "--results-dir", str(tmp_path), "--json"])
         finally:
             register_scheduler("drr", DRRScheduler)
@@ -120,8 +118,7 @@ class TestCli:
         register_scheduler("drr", _TruncatingDRR)
         try:
             main(["--seeds", "40", "--quick", "--variants", "drr",
-                  "--engine-every", "0", "--results-dir", str(tmp_path),
-                  "--json"])
+                  "--results-dir", str(tmp_path), "--json"])
             summary = json.loads(capsys.readouterr().out)
             artifact = summary["artifacts"][0]
             rc = main(["--replay", artifact, "--json"])
@@ -140,7 +137,7 @@ class TestCli:
         import repro.conformance.cli as cli_mod
 
         monkeypatch.setattr(cli_mod, "corpus_seeds", lambda: [0, 1])
-        rc = main(["--corpus", "--quick", "--engine-every", "0",
+        rc = main(["--corpus", "--quick",
                    "--results-dir", str(tmp_path), "--json"])
         summary = json.loads(capsys.readouterr().out)
         assert rc == 0
@@ -152,3 +149,39 @@ class TestCli:
         with pytest.raises(ConfigurationError):
             main(["--seeds", "1", "--variants", "nope",
                   "--results-dir", str(tmp_path)])
+
+
+class TestBoundsRepro:
+    """A failure only the opt-in bounds family sees is shrunk, written
+    and replayed by that family."""
+
+    def test_bounds_failure_is_shrunk_and_replayable(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.analysis.netcalc as netcalc
+        import repro.conformance.cli as cli_mod
+
+        real_curve = netcalc.srr_service_curve
+
+        def too_tight(*args, **kwargs):
+            curve = real_curve(*args, **kwargs)
+            return netcalc.RateLatency(curve.rate_bps, curve.latency_s * 0.1)
+
+        monkeypatch.setattr(netcalc, "srr_service_curve", too_tight)
+        monkeypatch.setattr(cli_mod, "corpus_seeds", lambda: [2])
+        rc = main(["--corpus", "--quick", "--bounds", "--variants", "srr",
+                   "--results-dir", str(tmp_path), "--json"])
+        summary = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert summary["artifacts"]
+        artifact = summary["artifacts"][0]
+        rc = main(["--replay", artifact, "--json"])
+        replay = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert "bounds" in {v["family"] for v in replay["violations"]}
+        # With the real curve back the same artifact replays clean.
+        monkeypatch.setattr(netcalc, "srr_service_curve", real_curve)
+        rc = main(["--replay", artifact, "--json"])
+        replay = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert replay["violations"] == []

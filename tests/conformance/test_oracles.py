@@ -192,26 +192,30 @@ class TestCheckScenario:
         run = run_scenario(variant, scenario)
         assert check_scenario(variant, scenario, run=run) == []
 
-    def test_engine_equivalence_on_clean_scheduler(self):
-        from repro.conformance.oracles import check_engine_equivalence
+    def test_families_to_recheck_adds_recorded_opt_in_families(self):
+        from repro.conformance.oracles import (
+            DEFAULT_FAMILIES,
+            families_to_recheck,
+        )
 
-        variant = variant_by_name("drr")
-        scenario = generate_scenario(2, quick=True)
-        assert check_engine_equivalence(variant, scenario) == []
+        assert families_to_recheck([]) == DEFAULT_FAMILIES
+        assert families_to_recheck(["lag", "lag"]) == DEFAULT_FAMILIES
+        assert families_to_recheck(["bounds", "lag"]) == (
+            DEFAULT_FAMILIES + ("bounds",)
+        )
 
 
 class TestBoundsOracle:
     """Family 4: network-calculus delay-bound certification."""
 
     @pytest.mark.parametrize("name", ["srr", "drr", "wrr", "iwrr"])
-    @pytest.mark.parametrize("engine", ["heap", "calendar"])
-    def test_clean_disciplines_certify(self, name, engine):
+    def test_clean_disciplines_certify(self, name):
         from repro.conformance.oracles import check_bounds
 
         variant = variant_by_name(name)
         for seed in range(3):
             scenario = generate_scenario(seed, quick=True)
-            assert check_bounds(variant, scenario, engine=engine) == []
+            assert check_bounds(variant, scenario) == []
 
     def test_uncertified_disciplines_are_exempt(self):
         from repro.conformance.oracles import check_bounds
@@ -246,7 +250,6 @@ class TestBoundsOracle:
         violations = check_scenario(
             variant, scenario,
             families=("conservation", "lag", "metamorphic", "bounds"),
-            bounds_engines=("heap", "calendar"),
         )
         assert violations == []
 

@@ -14,7 +14,6 @@ import pytest
 from repro.bench.scenarios import single_bottleneck_network
 from repro.core.errors import ConfigurationError
 from repro.fastpath.netloop import run_single_bottleneck_fast
-from repro.net.eventq import ENGINE_ENV_VAR
 from repro.schedulers.registry import create_scheduler
 
 
@@ -44,8 +43,7 @@ def fast_by_fid(run):
 
 class TestFaithfulness:
     @pytest.mark.parametrize("n_flows", [1, 4, 16, 64])
-    def test_exact_counts_and_delays_vs_network(self, n_flows, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "calendar")
+    def test_exact_counts_and_delays_vs_network(self, n_flows):
         until = 0.5
         expected = object_reference(n_flows, until)
         run = run_single_bottleneck_fast(n_flows, until)
@@ -58,8 +56,7 @@ class TestFaithfulness:
             assert got[fid][2] == pytest.approx(delay_sum, abs=1e-9), fid
             assert got[fid][3] == pytest.approx(delay_max, abs=1e-12), fid
 
-    def test_drr_core_matches_too(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "calendar")
+    def test_drr_core_matches_too(self):
         expected = object_reference(8, 0.5, scheduler="drr")
         run = run_single_bottleneck_fast(8, 0.5, scheduler="drr")
         got = fast_by_fid(run)
@@ -69,8 +66,7 @@ class TestFaithfulness:
             fid: (p, b) for fid, (p, b, _s, _m) in expected.items()
         }
 
-    def test_unsaturated_run_matches(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "calendar")
+    def test_unsaturated_run_matches(self):
         net = single_bottleneck_network("srr", 4, saturate=False)
         net.run(until=0.5)
         run = run_single_bottleneck_fast(4, 0.5, saturate=False)

@@ -11,12 +11,11 @@ import pytest
 from repro.core.errors import SimulationError
 from repro.bench.scenarios import single_bottleneck_network
 from repro.net.engine import Simulator
-from repro.net.eventq import ENGINE_ENV_VAR
 
 
 class TestReschedule:
     def test_fired_event_is_reusable_with_fresh_seq(self):
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         fired = []
         event = sim.schedule(1.0, lambda: fired.append(sim.now))
         sim.run()
@@ -29,7 +28,7 @@ class TestReschedule:
         assert fired == [1.0, 1.5]
 
     def test_pending_event_cannot_be_rearmed(self):
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
         with pytest.raises(SimulationError):
             sim.reschedule(event, 0.5)
@@ -38,7 +37,7 @@ class TestReschedule:
         # A cancelled-pending event still sits inside the queue, and a
         # cancelled-reaped one is indistinguishable from it — so both
         # refuse reuse.
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
         event.cancel()
         with pytest.raises(SimulationError):
@@ -49,14 +48,14 @@ class TestReschedule:
             sim.reschedule(event, 0.5)
 
     def test_negative_delay_rejected(self):
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         event = sim.schedule(0.1, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.reschedule(event, -0.1)
 
     def test_pending_live_tracks_cancellations(self):
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         keep = sim.schedule(1.0, lambda: None)
         drop = sim.schedule(2.0, lambda: None)
         assert sim.pending_events == 2
@@ -70,14 +69,13 @@ class TestReschedule:
         assert sim.cancelled_reaped == 1
         assert keep._sim is None
 
-    @pytest.mark.parametrize("kind", ["heap", "calendar"])
-    def test_reuse_is_bit_identical_to_fresh_allocation(self, kind):
+    def test_reuse_is_bit_identical_to_fresh_allocation(self):
         """A self-rescheduling chain must interleave identically with a
         concurrent event stream whether it reuses one Event or allocates
         fresh ones — reschedule draws seq from the same counter."""
 
         def run(reuse: bool):
-            sim = Simulator(queue=kind)
+            sim = Simulator()
             order = []
 
             state = {"event": None, "n": 0}
@@ -116,8 +114,7 @@ class TestReschedule:
 
 
 class TestPortTxEvent:
-    def test_port_recycles_one_tx_event(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "calendar")
+    def test_port_recycles_one_tx_event(self):
         net = single_bottleneck_network("srr", 4)
         net.run(until=0.1)
         port = net.port("R", "dst")

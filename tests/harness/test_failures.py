@@ -1,6 +1,8 @@
 """Failure reporting of the sweep engine and atomic artifact IO."""
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,15 @@ def boom(x):
     return x * 2
 
 
+# Module-level so the process pool can pickle it.
+def fail_first_or_mark(index, marker_dir):
+    if index == 0:
+        raise ValueError("point 0 fails at once")
+    (Path(marker_dir) / f"started-{index}").touch()
+    time.sleep(0.3)
+    return index
+
+
 class TestFailureReporting:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fast_path_wraps_with_context(self, jobs):
@@ -37,6 +48,15 @@ class TestFailureReporting:
         assert "bad point 13" in str(err)
         assert "(13,)" in str(err)
         assert isinstance(err.__cause__, ValueError)
+
+    def test_pool_failure_skips_points_not_yet_started(self, tmp_path):
+        tasks = [(i, str(tmp_path)) for i in range(9)]
+        with pytest.raises(SweepPointError) as info:
+            sweep(fail_first_or_mark, tasks, jobs=2)
+        assert info.value.index == 0
+        # Points still queued when point 0 failed are cancelled, not run:
+        # fewer than the 8 other points ever started.
+        assert len(list(tmp_path.iterdir())) < 8
 
 
 class TestAtomicIO:

@@ -161,7 +161,7 @@ class TestObservability:
         assert sim.wall_time_s > first
 
     def test_stats_dict_shape(self):
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         sim.schedule(0.0, lambda: None)
         sim.schedule(1.0, lambda: None).cancel()
         sim.run()
@@ -173,16 +173,14 @@ class TestObservability:
             "sim_wall_time_s": sim.wall_time_s,
             "pending_events": 0,
             "pending_live": 0,
-            "queue_kind": "heap",
+            "queue_resizes": 0,
         }
 
     def test_stats_includes_backend_counters(self):
-        sim = Simulator(queue="calendar")
+        sim = Simulator()
         sim.schedule(0.0, lambda: None)
         sim.run()
-        stats = sim.stats()
-        assert stats["queue_kind"] == "calendar"
-        assert stats["queue_resizes"] == 0
+        assert sim.stats()["queue_resizes"] == 0
 
     def test_callback_hook_times_each_event(self):
         sim = Simulator()
@@ -208,9 +206,8 @@ class TestPendingLive:
     """pending_events counts queued entries; pending_live excludes
     cancelled-but-unreaped ones."""
 
-    @pytest.mark.parametrize("kind", ["heap", "calendar"])
-    def test_cancelled_event_not_counted_live(self, kind):
-        sim = Simulator(queue=kind)
+    def test_cancelled_event_not_counted_live(self):
+        sim = Simulator()
         sim.schedule(1.0, lambda: None)
         event = sim.schedule(2.0, lambda: None)
         assert sim.pending_events == 2
@@ -219,9 +216,8 @@ class TestPendingLive:
         assert sim.pending_events == 2
         assert sim.pending_live == 1
 
-    @pytest.mark.parametrize("kind", ["heap", "calendar"])
-    def test_double_cancel_counts_once(self, kind):
-        sim = Simulator(queue=kind)
+    def test_double_cancel_counts_once(self):
+        sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
         event.cancel()
         event.cancel()
@@ -249,32 +245,20 @@ class TestPendingLive:
 
 
 class TestQueueBackends:
-    def test_default_kind_is_calendar(self):
-        assert Simulator().queue_kind == "calendar"
-
-    def test_explicit_kinds(self):
-        assert Simulator(queue="heap").queue_kind == "heap"
-        assert Simulator(queue="calendar").queue_kind == "calendar"
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        assert Simulator().queue_kind == "heap"
-
-    def test_unknown_kind_rejected(self):
-        from repro.core import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            Simulator(queue="splay")
+    """The queue is injectable: a profiling proxy can stand in for it."""
 
     def test_queue_instance_accepted(self):
         from repro.net.eventq import CalendarQueue
 
-        sim = Simulator(queue=CalendarQueue(width=0.5))
+        queue = CalendarQueue()
+        sim = Simulator(queue=queue)
         out = []
         sim.schedule(1.0, out.append, "a")
         sim.schedule(0.25, out.append, "b")
+        assert queue.size == 2
         sim.run()
         assert out == ["b", "a"]
+        assert queue.size == 0
 
 
 class TestRunUntilEdgeCases:

@@ -1,17 +1,14 @@
-"""Property tests for the pluggable event-queue backends.
+"""Property tests for the calendar event queue.
 
-The determinism contract: HeapQueue and CalendarQueue dequeue in exactly
-``(time, seq)`` order — same events, same order, bit-identical — under
-random times, ties, cancellations, and mid-run inserts, across calendar
-resizes.
+The determinism contract: CalendarQueue dequeues in exactly
+``(time, seq)`` order — checked here against a sorted ``(time, seq)``
+model under random times, ties, cancellations, mid-run inserts, calendar
+resizes and extreme times.
 """
 
 import random
 
-import pytest
-
-from repro.core import ConfigurationError
-from repro.net import CalendarQueue, HeapQueue, Simulator, make_queue
+from repro.net import CalendarQueue, Simulator
 from repro.net.engine import Event
 
 
@@ -27,83 +24,88 @@ def _drain(queue):
     return out
 
 
-def _make_queues():
-    return HeapQueue(), CalendarQueue()
+def _push_all(queue, pairs):
+    for t, seq in pairs:
+        queue.push(_event(t, seq))
+
+
+class ReferenceQueue:
+    """The contract as a model: pop the minimum ``(time, seq)`` pair."""
+
+    def __init__(self):
+        self.items = []
+
+    def push(self, t, seq):
+        self.items.append((t, seq))
+
+    def pop(self):
+        item = min(self.items)
+        self.items.remove(item)
+        return item
 
 
 class TestOrderEquivalence:
+    """CalendarQueue pops in the order of the sorted ``(time, seq)`` model."""
+
     def test_random_times(self):
         rng = random.Random(11)
-        events = [_event(rng.random() * 100.0, seq) for seq in range(5000)]
-        heap, cal = _make_queues()
-        for e in events:
-            heap.push(e)
-            cal.push(_event(e.time, e.seq))
-        assert _drain(heap) == _drain(cal)
+        pushed = [(rng.random() * 100.0, seq) for seq in range(5000)]
+        cal = CalendarQueue()
+        _push_all(cal, pushed)
+        assert _drain(cal) == sorted(pushed)
 
     def test_ties_break_by_seq(self):
         rng = random.Random(12)
         # Few distinct times, many events: mostly ties.
         times = [rng.random() for _ in range(7)]
-        events = [_event(rng.choice(times), seq) for seq in range(2000)]
-        heap, cal = _make_queues()
-        for e in events:
-            heap.push(e)
-            cal.push(_event(e.time, e.seq))
-        order = _drain(cal)
-        assert order == _drain(heap)
-        assert order == sorted(order)
+        pushed = [(rng.choice(times), seq) for seq in range(2000)]
+        cal = CalendarQueue()
+        _push_all(cal, pushed)
+        assert _drain(cal) == sorted(pushed)
 
     def test_mid_run_inserts(self):
         # Interleave pops with pushes, including pushes landing in the
         # calendar's current (being-drained) epoch and far future.
         rng = random.Random(13)
-        heap, cal = _make_queues()
+        ref, cal = ReferenceQueue(), CalendarQueue()
         seq = 0
         now = 0.0
-        out_heap, out_cal = [], []
+        out_ref, out_cal = [], []
         for _ in range(3000):
-            if heap.size and rng.random() < 0.45:
-                a = heap.pop()
+            if cal.size and rng.random() < 0.45:
+                out_ref.append(ref.pop())
                 b = cal.pop()
-                out_heap.append((a.time, a.seq))
                 out_cal.append((b.time, b.seq))
-                now = max(now, a.time)
+                now = max(now, b.time)
             else:
                 # Never schedule into the past (the Simulator forbids it).
                 t = now + rng.choice([0.0, 1e-9, 0.001, 0.5, 50.0]) * rng.random()
-                heap.push(_event(t, seq))
+                ref.push(t, seq)
                 cal.push(_event(t, seq))
                 seq += 1
-        out_heap.extend(_drain(heap))
+        while ref.items:
+            out_ref.append(ref.pop())
         out_cal.extend(_drain(cal))
-        assert out_heap == out_cal
+        assert out_cal == out_ref
         assert out_cal == sorted(out_cal)
 
     def test_burst_then_sparse_resizes(self):
         # A dense burst (forces a shrink) followed by sparse events
         # (forces widens); order must survive every rebuild.
         rng = random.Random(14)
-        heap, cal = _make_queues()
-        seq = 0
-        for _ in range(4000):  # dense: 4000 events in ~1 time unit
-            t = rng.random()
-            heap.push(_event(t, seq))
-            cal.push(_event(t, seq))
-            seq += 1
-        for i in range(500):  # sparse: one event per ~10 time units
-            t = 10.0 + i * 10.0 + rng.random()
-            heap.push(_event(t, seq))
-            cal.push(_event(t, seq))
-            seq += 1
-        assert _drain(heap) == _drain(cal)
+        pushed = [(rng.random(), seq) for seq in range(4000)]  # dense
+        pushed += [  # sparse: one event per ~10 time units
+            (10.0 + i * 10.0 + rng.random(), 4000 + i) for i in range(500)
+        ]
+        cal = CalendarQueue()
+        _push_all(cal, pushed)
+        assert _drain(cal) == sorted(pushed)
         assert cal.resizes > 0
 
-    @pytest.mark.parametrize("kind", ["heap", "calendar"])
-    def test_simulator_cancellation_equivalence(self, kind):
-        # Cancelled events are skipped identically through the engine.
+    def test_simulator_cancellation_equivalence(self):
+        # Cancelled events are skipped; the rest fire in (time, seq) order.
         rng = random.Random(15)
-        sim = Simulator(queue=kind)
+        sim = Simulator()
         fired = []
         events = [
             sim.schedule(rng.random() * 10.0, fired.append, i)
@@ -116,15 +118,14 @@ class TestOrderEquivalence:
             (e.time, e.seq) for e in events if not e.cancelled
         )
         assert len(fired) == 300
-        assert [events[i].time for i in fired] == [t for t, _ in expected]
+        assert [(events[i].time, events[i].seq) for i in fired] == expected
 
     def test_extreme_times(self):
-        heap, cal = _make_queues()
         times = [0.0, 1e-300, 1e300, float("inf"), 12.5, 1e-12]
-        for seq, t in enumerate(times):
-            heap.push(_event(t, seq))
-            cal.push(_event(t, seq))
-        assert _drain(heap) == _drain(cal)
+        pushed = list(zip(times, range(len(times))))
+        cal = CalendarQueue()
+        _push_all(cal, pushed)
+        assert _drain(cal) == sorted(pushed)
 
 
 class TestCalendarInternals:
@@ -140,51 +141,21 @@ class TestCalendarInternals:
         assert cal.peek() is None
 
     def test_width_adapts_to_density(self):
-        cal = CalendarQueue(width=1.0)
+        cal = CalendarQueue()
+        initial = cal.width
         rng = random.Random(17)
         for seq in range(5000):  # 5000 events in one initial bucket
-            cal.push(_event(rng.random(), seq))
+            cal.push(_event(rng.random() * initial, seq))
         _drain(cal)
         assert cal.resizes >= 1
-        assert cal.width < 1.0
+        assert cal.width < initial
 
     def test_stats_exposes_resizes(self):
         cal = CalendarQueue()
         assert cal.stats() == {"queue_resizes": 0}
-
-    def test_parameter_validation(self):
-        with pytest.raises(ConfigurationError):
-            CalendarQueue(width=0.0)
-        with pytest.raises(ConfigurationError):
-            CalendarQueue(target_per_bucket=0)
-        with pytest.raises(ConfigurationError):
-            CalendarQueue(target_per_bucket=16, resize_hi=20)
 
     def test_len_and_bool(self):
         cal = CalendarQueue()
         assert not cal and len(cal) == 0
         cal.push(_event(1.0, 0))
         assert cal and len(cal) == 1
-
-
-class TestMakeQueue:
-    def test_kinds(self):
-        assert make_queue("heap").kind == "heap"
-        assert make_queue("calendar").kind == "calendar"
-
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert make_queue().kind == "calendar"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        assert make_queue().kind == "heap"
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "bogus")
-        with pytest.raises(ConfigurationError):
-            make_queue()
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_queue("fibonacci")

@@ -19,17 +19,16 @@ from repro.perf import (
     compare,
     fastpath_speedup,
     run_benchmark,
-    speedup_summary,
 )
 from repro.perf.benchmarks import _hold_round
 from repro.perf.cli import main
 from repro.perf.report import SCHEMA
 
 
-def _tiny_bench(group="event_loop", name="tiny[heap]", engine="heap"):
+def _tiny_bench(group="event_loop", name="tiny[calendar]"):
     return Benchmark(
-        group, name, {"engine": engine},
-        lambda: _hold_round(engine, 50, 100),
+        group, name, {"engine": "calendar"},
+        lambda: _hold_round(50, 100),
         rounds=2, quick_rounds=1,
     )
 
@@ -61,9 +60,9 @@ class TestDocument:
             "benchmarks",
         }
         (bench,) = doc["benchmarks"]
-        assert bench["name"] == "tiny[heap]"
-        assert bench["fullname"] == "repro.perf::tiny[heap]"
-        assert bench["params"] == {"engine": "heap"}
+        assert bench["name"] == "tiny[calendar]"
+        assert bench["fullname"] == "repro.perf::tiny[calendar]"
+        assert bench["params"] == {"engine": "calendar"}
         assert set(bench["stats"]) == {
             "min", "max", "mean", "stddev", "median", "rounds", "ops",
         }
@@ -86,41 +85,27 @@ class TestDocument:
         assert stats["median"] == pytest.approx(0.2)
         assert stats["stddev"] == pytest.approx(0.1414213562, rel=1e-6)
 
-    def test_speedup_summary_ratio(self):
-        fast = run_benchmark(_tiny_bench(name="t[calendar]",
-                                         engine="calendar"), quick=True)
-        slow = run_benchmark(_tiny_bench(), quick=True)
-        fast.times, slow.times = [0.1], [0.2]
-        summary = speedup_summary(_doc(slow, fast))
-        assert summary == {"event_loop": pytest.approx(2.0)}
-
-    def test_speedup_summary_needs_both_engines(self):
-        only_heap = run_benchmark(_tiny_bench(), quick=True)
-        assert speedup_summary(_doc(only_heap)) == {}
-
     def test_fastpath_speedup_compares_mean_round_times(self):
         # Engine side = the calendar run; lean side = the engine-less
         # core:"fast" entry. Ratio is of mean times, not throughput.
         obj = Benchmark(
             "end_to_end", "e2e[calendar]", {"engine": "calendar"},
-            lambda: _hold_round("heap", 50, 100), rounds=1, quick_rounds=1,
+            lambda: _hold_round(50, 100), rounds=1, quick_rounds=1,
         )
         fast = Benchmark(
             "end_to_end", "e2e[fastpath]", {"core": "fast"},
-            lambda: _hold_round("heap", 50, 100), rounds=1, quick_rounds=1,
+            lambda: _hold_round(50, 100), rounds=1, quick_rounds=1,
         )
         r_obj = run_benchmark(obj, quick=True)
         r_fast = run_benchmark(fast, quick=True)
         r_obj.times, r_fast.times = [0.4], [0.1]
         doc = _doc(r_obj, r_fast)
         assert fastpath_speedup(doc) == {"end_to_end": pytest.approx(4.0)}
-        # No heap+calendar pair in sight: the engine summary stays empty.
-        assert speedup_summary(doc) == {}
 
     def test_fastpath_speedup_needs_both_cores(self):
         only_fast = Benchmark(
             "end_to_end", "e2e[fastpath]", {"core": "fast"},
-            lambda: _hold_round("heap", 50, 100), rounds=1, quick_rounds=1,
+            lambda: _hold_round(50, 100), rounds=1, quick_rounds=1,
         )
         assert fastpath_speedup(
             _doc(run_benchmark(only_fast, quick=True))
@@ -148,7 +133,7 @@ class TestCompare:
         now["benchmarks"][0]["stats"]["mean"] = 1.3
         failures = compare(now, base, tolerance=1.25)
         assert len(failures) == 1
-        assert "tiny[heap]" in failures[0]
+        assert "tiny[calendar]" in failures[0]
         assert "1.30x" in failures[0]
 
     def test_speedup_never_fails(self):
@@ -160,7 +145,7 @@ class TestCompare:
         base, now = self._docs()
         now["benchmarks"] = []
         failures = compare(now, base)
-        assert failures == ["tiny[heap]: missing from current run"]
+        assert failures == ["tiny[calendar]: missing from current run"]
 
     def test_extra_current_benchmarks_ignored(self):
         # New benchmarks without a baseline entry must not fail the
@@ -182,15 +167,14 @@ class TestSuiteDefinition:
         assert groups == {"event_loop", "scheduler_dequeue", "end_to_end"}
         names = [b.name for b in benches]
         assert len(names) == len(set(names))  # names are unique keys
-        # Both engines appear in both engine-sensitive groups (the
-        # lean-loop entry has no event queue, hence no ``engine`` param —
-        # it is keyed by ``core`` instead).
-        for group in ("event_loop", "end_to_end"):
-            engines = {
-                b.params["engine"] for b in benches
-                if b.group == group and "engine" in b.params
-            }
-            assert engines == {"heap", "calendar"}
+        # One calendar-queue row per engine-level group, under the
+        # baseline's row names (the lean-loop entry has no event queue,
+        # hence no ``engine`` param — it is keyed by ``core`` instead).
+        engine_rows = [b.name for b in benches if "engine" in b.params]
+        assert engine_rows == [
+            "event_loop[calendar-n10000]",
+            "e2e_srr_bottleneck[calendar-n256]",
+        ]
         # The lean end-to-end replay rides along, and every dequeue
         # discipline is benched at every sweep size.
         assert "e2e_srr_bottleneck[fastpath-n256]" in names
@@ -210,7 +194,7 @@ class TestCli:
         assert doc["schema"] == SCHEMA
         assert {b["group"] for b in doc["benchmarks"]} == {"event_loop"}
         err = capsys.readouterr().err
-        assert "calendar vs heap [event_loop]" in err
+        assert "event_loop[calendar-n10000]" in err
         # Same machine, same code, generous tolerance: must pass its
         # own baseline.
         assert main(["--quick", "--group", "event_loop",
