@@ -6,8 +6,8 @@ malformed packets) runs against every scheduler with the runtime
 invariant guards attached. The guards must actually run, the fault
 plans must actually be built, and no structural invariant may break.
 Parameters are those of ``python -m repro.bench e13 --quick --seed 7
---check-invariants``; CI compares that run across ``--jobs 1`` and
-``--jobs 4``.
+--set check_invariants=True``; CI compares that run across ``--jobs 1``
+and ``--jobs 4``.
 """
 
 from repro.bench import SPECS, run_experiment

@@ -4,8 +4,8 @@ The same fault plan runs with the control plane off and on. The
 uncontrolled arm must show guaranteed-class SLO violations (the chaos
 is strong enough to prove something); the controlled arm must show
 none, and no quote may be silently broken. Parameters are those of
-``python -m repro.bench e14 --quick --seed 7 --control both``; CI
-compares that run across ``--jobs 1`` and ``--jobs 4``.
+``python -m repro.bench e14 --quick --seed 7`` (``control="both"`` is
+the default); CI compares that run across ``--jobs 1`` and ``--jobs 4``.
 """
 
 from repro.bench import SPECS, run_experiment

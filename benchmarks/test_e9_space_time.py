@@ -27,7 +27,7 @@ def test_e9_space_time(run_once):
 
 
 def test_e9_dynamic_order_ablation(run_once):
-    """Design-choice ablation: SRR's dynamic order restart still yields
+    """Design-choice check: SRR's dynamic order restart still yields
     exact per-round fairness once the weight mix stabilises."""
     from repro.core import Packet, SRRScheduler
 

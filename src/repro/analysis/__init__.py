@@ -40,12 +40,7 @@ from .stats import (
     summarize_replications,
     t_critical,
 )
-from .service_curves import (
-    curve_from_finish_times,
-    curve_from_records,
-    horizontal_deviation,
-    max_ideal_lag,
-)
+from .service_curves import max_ideal_lag
 from .tables import format_table, print_table, records_table, rows_from_records
 
 __all__ = [
@@ -56,8 +51,6 @@ __all__ = [
     "TokenBucket",
     "backlog_bound",
     "convolve",
-    "curve_from_finish_times",
-    "curve_from_records",
     "deconvolve",
     "delay_bound",
     "drr_delay_bound",
@@ -66,7 +59,6 @@ __all__ = [
     "format_table",
     "g3_delay_bound",
     "gap_statistics",
-    "horizontal_deviation",
     "iwrr_service_curve",
     "jain_index",
     "jitter",

@@ -1,29 +1,20 @@
-"""Service-curve utilities: cumulative service vs. the ideal rate line.
+"""Service-curve utilities: a flow's service against the ideal rate line.
 
 The paper's Definition 1 compares a flow's real service curve
 ``S_ps(t - t0)`` against the ideal fluid curve ``S_id(t - t0) = r(t-t0)``
 and defines the scheduler delay as the worst horizontal deviation between
-them (Fig. 7 of the supplied text). These helpers compute exactly that
-from a cumulative-service step function (as produced by
-:meth:`repro.net.monitors.ServiceTrace.service_curve` or from sink
-records).
+them (Fig. 7 of the supplied text). :func:`max_ideal_lag` measures
+exactly that from a flow's per-packet finish times (E10 uses it).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from ..core.errors import ConfigurationError
 
-__all__ = [
-    "horizontal_deviation",
-    "curve_from_finish_times",
-    "curve_from_records",
-    "max_ideal_lag",
-]
-
-Curve = Sequence[Tuple[float, float]]  # (time, cumulative bytes), sorted
+__all__ = ["max_ideal_lag"]
 
 
 def _reject_nan(finish_times: Sequence[float]) -> None:
@@ -33,76 +24,6 @@ def _reject_nan(finish_times: Sequence[float]) -> None:
     for t in finish_times:
         if math.isnan(t):
             raise ConfigurationError("finish times must not contain NaN")
-
-
-def curve_from_finish_times(
-    finish_times: Sequence[float], packet_size: int
-) -> List[Tuple[float, float]]:
-    """Cumulative-bytes steps from per-packet finish times (fixed size)."""
-    if packet_size <= 0:
-        raise ConfigurationError("packet_size must be positive")
-    _reject_nan(finish_times)
-    return [
-        (t, (i + 1) * packet_size) for i, t in enumerate(sorted(finish_times))
-    ]
-
-
-def curve_from_records(
-    finish_times: Sequence[float], sizes: Sequence[int]
-) -> List[Tuple[float, float]]:
-    """Variable-size form of :func:`curve_from_finish_times`.
-
-    ``sizes[i]`` is the byte size of the packet finishing at
-    ``finish_times[i]``; the pair is kept together through the sort so
-    cumulative bytes accrue in service order.
-    """
-    if len(finish_times) != len(sizes):
-        raise ConfigurationError(
-            f"finish_times and sizes disagree: "
-            f"{len(finish_times)} vs {len(sizes)}"
-        )
-    _reject_nan(finish_times)
-    for s in sizes:
-        if s <= 0:
-            raise ConfigurationError(f"packet sizes must be positive, got {s}")
-    served = 0.0
-    curve: List[Tuple[float, float]] = []
-    for t, size in sorted(zip(finish_times, sizes)):
-        served += size
-        curve.append((t, served))
-    return curve
-
-
-def horizontal_deviation(
-    curve: Curve, rate_bps: float, start_time: float = 0.0
-) -> float:
-    """Worst horizontal gap between the ideal line and the real curve.
-
-    For each step point ``(t_i, S_i)`` of the real curve, the ideal
-    rate-``r`` server starting at ``start_time`` reaches ``S_i`` bytes at
-    ``start_time + S_i / r``; the deviation is
-    ``max_i (t_i - (start_time + S_i/r))`` clamped at 0. This is the
-    ``d_ps`` of Definition 1 measured empirically.
-    """
-    if rate_bps <= 0:
-        raise ConfigurationError("rate must be positive")
-    if not curve:
-        # A flow that never got service has no deviation to measure; the
-        # old silent 0.0 read as "bound certified" for exactly the flow
-        # most likely to be starved.
-        raise ConfigurationError(
-            "empty service curve: the flow received no service"
-        )
-    rate_bytes = rate_bps / 8.0
-    worst = 0.0
-    last_t = -float("inf")
-    for t, served in curve:
-        if t < last_t:
-            raise ConfigurationError("curve times must be non-decreasing")
-        last_t = t
-        ideal_t = start_time + served / rate_bytes
-        worst = max(worst, t - ideal_t)
-    return worst
 
 
 def max_ideal_lag(

@@ -1129,8 +1129,8 @@ class E13Params:
     burst_rate_hz: float = 0.5
     malformed_rate_hz: float = 0.5
     #: Attach the runtime invariant pack to every port scheduler
-    #: (``--check-invariants``); violations are counted, not raised, so
-    #: the totals land in the artifact for CI to assert on.
+    #: (``--set check_invariants=True``); violations are counted, not
+    #: raised, so the totals land in the artifact for CI to assert on.
     check_invariants: bool = False
 
 

@@ -142,31 +142,6 @@ def main(argv: List[str] = None) -> int:
              "write them as JSONL to PATH; forces --jobs 1 so events "
              "from pool workers are not lost",
     )
-    parser.add_argument(
-        "--check-invariants", action="store_true",
-        help="attach the runtime invariant guard pack (SRR matrix "
-             "integrity, DRR credit conservation, WFQ vtime "
-             "monotonicity, work conservation) where the experiment "
-             "supports it",
-    )
-    parser.add_argument(
-        "--control", choices=("on", "off", "both"), default=None,
-        help="overload control plane arm selection for experiments that "
-             "support it (e14): 'on' runs only the controlled arm, 'off' "
-             "only the uncontrolled baseline, 'both' the paired "
-             "comparison (e14's default)",
-    )
-    parser.add_argument(
-        "--watermark-low", type=float, default=None, metavar="FRAC",
-        help="admission watermark below which joins are always admitted "
-             "(fraction of bottleneck capacity; e14 default 0.70)",
-    )
-    parser.add_argument(
-        "--watermark-high", type=float, default=None, metavar="FRAC",
-        help="admission watermark at/above which joins are always "
-             "rejected; between low and high they are shed "
-             "probabilistically (e14 default 0.90)",
-    )
     args = parser.parse_args(argv)
 
     from ..harness import write_artifact
@@ -187,34 +162,6 @@ def main(argv: List[str] = None) -> int:
             jobs = 1
         tracer = Tracer()
         previous_tracer = set_tracer(tracer)
-    if args.check_invariants:
-        overrides = dict(overrides)
-        overrides["check_invariants"] = True
-        unsupported = [
-            n for n in names
-            if "check_invariants" not in SPECS[n].param_names()
-        ]
-        if unsupported and args.experiment != "all":
-            raise ConfigurationError(
-                f"--check-invariants is not supported by "
-                f"{', '.join(unsupported)}"
-            )
-    for flag, key, value in (
-        ("--control", "control", args.control),
-        ("--watermark-low", "low", args.watermark_low),
-        ("--watermark-high", "high", args.watermark_high),
-    ):
-        if value is None:
-            continue
-        overrides = dict(overrides)
-        overrides[key] = value
-        unsupported = [
-            n for n in names if key not in SPECS[n].param_names()
-        ]
-        if unsupported and args.experiment != "all":
-            raise ConfigurationError(
-                f"{flag} is not supported by {', '.join(unsupported)}"
-            )
     payloads = []
     try:
         for name in names:

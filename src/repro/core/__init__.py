@@ -24,7 +24,7 @@ from .errors import (
     SimulationError,
     UnknownFlowError,
 )
-from .flow import FlowState, check_weight, iter_set_bits
+from .flow import FlowState, check_weight
 from .hierarchy import HierarchicalScheduler
 from .interfaces import FlowTableScheduler, PacketScheduler
 from .opcount import NULL_COUNTER, NullOpCounter, OpCounter
@@ -72,7 +72,6 @@ __all__ = [
     "WSSCursor",
     "WeightMatrix",
     "check_weight",
-    "iter_set_bits",
     "iter_wss",
     "value_count",
     "value_positions",

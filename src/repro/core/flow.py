@@ -7,9 +7,9 @@ deficit counter used by the variable-packet-size service mode, and running
 service statistics consumed by the fairness analyses.
 
 The queue holds :class:`~repro.core.packet.Packet` objects on the
-``enqueue``/``dequeue`` lane and ``(slot, size, ref)`` tuples on the
-scalar lane (:mod:`repro.core.lane`); :attr:`FlowState.backlog_bytes`
-reads either.
+``enqueue``/``dequeue`` lane and ``(slot, size, ref)`` tuples on SRR's
+scalar lane (:class:`~repro.core.srr.SRRScheduler`);
+:attr:`FlowState.backlog_bytes` reads either.
 """
 
 from __future__ import annotations
@@ -190,10 +190,3 @@ def column_nodes(flow: FlowState, weight: int) -> Dict[int, ColumnNode]:
         weight ^= low
     return nodes
 
-
-def iter_set_bits(value: int):
-    """Yield the positions of the set bits of ``value``, lowest first."""
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1
-        value ^= low

@@ -112,7 +112,7 @@ class FlowTableScheduler(PacketScheduler):
     exact, including on drops and flow removal. It also gives every
     registered flow a small integer **slot** (:meth:`slot_of`; freed
     slots are reused), the flow handle of the scalar ``push``/``pull``
-    lane that SRR and DRR carry (:mod:`repro.core.lane`).
+    lane that SRR carries (:class:`~repro.core.srr.SRRScheduler`).
 
     Disciplines whose flow hookup is fully captured by the three hooks
     (SRR, DRR) additionally support **in-place reweighting**

@@ -20,8 +20,8 @@ the way bit-reversal interleaves indices).
 
 Why this is O(1): advancing to the next flow within a column is one
 pointer step; advancing to the next WSS term is one counter increment plus
-one trailing-zero count (the closed form ``term(i) = v2(i) + 1``, or one
-array read when the sequence is materialised as in the paper). Because
+one trailing-zero count (the closed form ``term(i) = v2(i) + 1``; the
+paper reads a stored array instead, see :mod:`repro.core.wss`). Because
 ``k`` always tracks the highest non-empty column, term value 1 — which
 occurs at every odd position, i.e. every other term — always selects a
 non-empty column, so at most one scanned term in a row can come up empty.
@@ -58,33 +58,46 @@ heaviest drains), the scan order ``k`` changes with it. This
 implementation restarts the WSS scan at the beginning of the new sequence,
 which perturbs fairness for at most one round; the prefix property of the
 WSS (``WSS^(k-1)`` is a prefix of ``WSS^k``) keeps the perturbation small
-in practice. The policy is ablated in E9.
+in practice.
 
 Lanes
 -----
-``enqueue``/``dequeue`` move :class:`~repro.core.packet.Packet` objects;
-the scalar lane (``push``/``pull``/``pull_batch``, :mod:`repro.core.lane`)
-moves ``(slot, size, ref)`` tuples through the same weight matrix and
-WSS scan. In packet mode :meth:`SRRScheduler.pull_batch` serves runs of
-a WSS column visit in one fused loop.
+``enqueue``/``dequeue`` move :class:`~repro.core.packet.Packet` objects
+and serve both modes. In packet mode the scalar lane
+(``push``/``pull``/``pull_batch``) moves ``(slot, size, ref)`` tuples
+through the same weight matrix and WSS scan, with the same op bumps:
+``slot`` comes from ``slot_of(flow_id)``, ``ref`` is whatever the caller
+wants back, and ``push`` stores the very tuple ``pull`` returns, so
+serving a packet allocates nothing. ``pull_batch(budget)`` serves up to
+``budget`` packets, exactly as that many ``pull`` calls would, fusing a
+WSS column visit into one loop. :mod:`repro.fastpath.netloop` runs on
+this lane. Use one lane per scheduler instance; in deficit mode ``pull``
+and ``pull_batch`` raise :class:`~repro.core.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-from typing import ClassVar, Hashable, List, Optional
+from typing import Any, ClassVar, List, Optional, Tuple
 
 from .errors import ConfigurationError
 from .flow import ColumnNode, FlowState
 from .interfaces import FlowTableScheduler
-from .lane import Item, ScalarLane
 from .opcount import NULL_COUNTER, OpCounter
 from .packet import Packet
 from .weight_matrix import WeightMatrix
 
 __all__ = ["SRRScheduler"]
 
+#: One scalar-lane item: ``(slot, size, ref)``.
+Item = Tuple[int, int, Any]
 
-class SRRScheduler(ScalarLane, FlowTableScheduler):
+_DEFICIT_LANE = (
+    "the scalar lane (push/pull/pull_batch) serves packet mode only; "
+    "run deficit mode on enqueue/dequeue"
+)
+
+
+class SRRScheduler(FlowTableScheduler):
     """Smoothed Round Robin (Guo, SIGCOMM 2001 / ToN 2004).
 
     Args:
@@ -112,8 +125,6 @@ class SRRScheduler(ScalarLane, FlowTableScheduler):
         max_order: int = 62,
         mode: str = "packet",
         quantum: int = 1500,
-        wss_storage: str = "closed",
-        order_change: str = "restart",
         op_counter: OpCounter = NULL_COUNTER,
     ) -> None:
         super().__init__(op_counter=op_counter)
@@ -123,26 +134,8 @@ class SRRScheduler(ScalarLane, FlowTableScheduler):
             )
         if mode == "deficit" and quantum < 1:
             raise ConfigurationError(f"quantum must be >= 1, got {quantum}")
-        if wss_storage not in ("closed", "materialized"):
-            raise ConfigurationError(
-                "wss_storage must be 'closed' (compute terms, zero space) "
-                f"or 'materialized' (the paper's stored array), got "
-                f"{wss_storage!r}"
-            )
-        if order_change not in ("restart", "continue"):
-            raise ConfigurationError(
-                "order_change must be 'restart' (re-scan the new WSS from "
-                "its start; bounded one-round perturbation) or 'continue' "
-                "(fold the position into the new cycle, leaning on the WSS "
-                f"prefix property), got {order_change!r}"
-            )
         self.mode = mode
         self.quantum = quantum
-        self.wss_storage = wss_storage
-        self.order_change = order_change
-        # Materialised WSS tables by order, built lazily (paper strategy;
-        # ablated in E9). The closed form needs none of this.
-        self._wss_tables: dict = {}
         self.matrix = WeightMatrix(max_order, op_counter=op_counter)
         # WSS scan state. _order == 0 means "scan not started / matrix empty".
         self._order = 0
@@ -248,13 +241,29 @@ class SRRScheduler(ScalarLane, FlowTableScheduler):
 
     # -- scalar lane -------------------------------------------------------
     #
-    # The dequeue paths above, with (slot, size, ref) tuples in place of
-    # packets: same op bumps, same unlink and credit rules.
+    # _dequeue_packet_mode with (slot, size, ref) tuples in place of
+    # packets: same op bumps, same unlink rule.
+
+    def push(self, slot: int, size: int, ref: Any = None) -> bool:
+        """Queue one ``size``-byte packet on ``slot``'s flow; False (and
+        drop-counted) when the flow's queue limit is reached."""
+        flow = self._slots[slot]
+        queue = flow.queue
+        limit = flow.max_queue
+        if limit is not None and len(queue) >= limit:
+            flow.packets_dropped += 1
+            return False
+        queue.append((slot, size, ref))
+        self._backlog_packets += 1
+        self._backlog_bytes += size
+        if len(queue) == 1:
+            self._on_backlogged(flow)
+        return True
 
     def pull(self) -> Optional[Item]:
         """Serve the next packet in O(1) as ``(slot, size, ref)``."""
         if self.mode != "packet":
-            return self._pull_deficit_mode()
+            raise ConfigurationError(_DEFICIT_LANE)
         ops = self._ops
         while True:
             node = self._cursor
@@ -275,50 +284,14 @@ class SRRScheduler(ScalarLane, FlowTableScheduler):
             if not self._advance_term():
                 return None
 
-    def _pull_deficit_mode(self) -> Optional[Item]:
-        ops = self._ops
-        stuck = self._stuck
-        if stuck is not None:
-            self._stuck = None
-            if stuck.queue and stuck.queue[0][1] <= stuck.deficit:
-                return self._pull_with_deficit(stuck)
-        while True:
-            node = self._cursor
-            if node is not None and node.flow is not None:
-                flow = node.flow
-                self._cursor = node.next
-                ops.bump()
-                flow.deficit += self.quantum
-                if flow.queue[0][1] <= flow.deficit:
-                    return self._pull_with_deficit(flow)
-                continue
-            if not self._advance_term():
-                return None
-
-    def _pull_with_deficit(self, flow: FlowState) -> Item:
-        queue = flow.queue
-        item = queue.popleft()
-        size = item[1]
-        flow.packets_sent += 1
-        flow.bytes_sent += size
-        flow.deficit -= size
-        if not queue:
-            flow.deficit = 0
-            self._unlink(flow)
-        elif queue[0][1] <= flow.deficit:
-            self._stuck = flow
-        self._backlog_packets -= 1
-        self._backlog_bytes -= size
-        return item
-
     def pull_batch(self, budget: int) -> List[Item]:
         """Serve up to ``budget`` packets, exactly as ``budget`` pulls.
 
-        Packet mode runs one fused loop: within a WSS column visit each
-        packet costs a few attribute loads, not a Python call.
+        One fused loop: within a WSS column visit each packet costs a few
+        attribute loads, not a Python call.
         """
         if self.mode != "packet":
-            return ScalarLane.pull_batch(self, budget)
+            raise ConfigurationError(_DEFICIT_LANE)
         out: List[Item] = []
         append = out.append
         bump = self._ops.bump
@@ -362,31 +335,16 @@ class SRRScheduler(ScalarLane, FlowTableScheduler):
             return False
         order = matrix.order
         if order != self._order:
+            # Restart the scan (bounded perturbation; see module
+            # docstring).
             self._order = order
-            if self.order_change == "restart":
-                # Restart the scan (bounded perturbation; see module
-                # docstring).
-                self._position = 0
-            else:
-                # Fold the position into the new cycle. When the order
-                # shrinks, the prefix property keeps already-scanned
-                # structure meaningful; when it grows, scanning simply
-                # proceeds deeper into the longer sequence.
-                self._position %= (1 << order) - 1
+            self._position = 0
         position = self._position + 1
         if position > (1 << order) - 1:
             position = 1
         self._position = position
-        if self.wss_storage == "closed":
-            # Closed-form WSS term: v2(position) + 1.
-            value = (position & -position).bit_length()
-        else:
-            table = self._wss_tables.get(order)
-            if table is None:
-                from .wss import MaterializedWSS
-
-                table = self._wss_tables[order] = MaterializedWSS(order)
-            value = table.term(position)
+        # Closed-form WSS term: v2(position) + 1.
+        value = (position & -position).bit_length()
         column = matrix.columns[order - value]
         self._cursor = column.first()
         self.terms_scanned += 1

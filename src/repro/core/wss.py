@@ -28,9 +28,8 @@ Key properties (all unit/property-tested):
   ``WSS^k``;
 * occurrences of value ``v`` are *evenly spread*: consecutive positions
   of value ``v`` are exactly ``2^v`` apart;
-* ``WSS^(k-1)`` is a prefix of ``WSS^k`` — scanning order can be raised
-  or lowered on the fly (SRR uses this when the maximum flow weight
-  changes);
+* ``WSS^(k-1)`` is a prefix of ``WSS^k`` — a term's value does not
+  depend on the order (see :func:`wss_term`);
 * when SRR maps term value ``v`` to weight-matrix column ``order - v``,
   column ``j`` is visited exactly ``2^j`` times per round, hence a flow
   with weight ``w`` is served exactly ``w`` times per round.
@@ -113,10 +112,10 @@ def iter_wss(order: int) -> Iterator[int]:
 
 
 #: Shared materialised sequences keyed by order. The sequence is a pure
-#: function of the order, and every SRR instance (plus the E9 ablation)
-#: wants the same tables, so one process-wide copy suffices. Entries are
-#: treated as immutable by all internal consumers; bounded in practice by
-#: the order-26 materialisation cap below.
+#: function of the order, and every consumer (the E9 tables and
+#: :func:`wss_sequence`) wants the same tables, so one process-wide copy
+#: suffices. Entries are treated as immutable by all internal consumers;
+#: bounded in practice by the order-26 materialisation cap below.
 _SEQUENCE_CACHE: Dict[int, List[int]] = {}
 
 
@@ -165,10 +164,10 @@ def _check_order(order: int) -> None:
 class WSSCursor:
     """A cyclic scanner over ``WSS^order`` computing terms in O(1).
 
-    This is the form the SRR scheduler consumes: ``advance()`` moves to the
-    next position (wrapping at ``2^order - 1``) and returns the term value.
-    The order can be changed between calls (``set_order``); SRR does this
-    when the highest occupied weight-matrix column changes.
+    ``advance()`` moves to the next position (wrapping at ``2^order - 1``)
+    and returns the term value. This is the closed-form strategy that E9
+    times against the stored tables; SRR inlines the same closed form in
+    its scan and never uses the cursor.
 
     The cursor never allocates: it is a pair of integers.
     """
@@ -190,23 +189,6 @@ class WSSCursor:
     def position(self) -> int:
         """1-based position of the most recently returned term (0 = none yet)."""
         return self._position
-
-    def set_order(self, order: int, *, restart: bool = True) -> None:
-        """Switch to ``WSS^order``.
-
-        With ``restart=True`` (SRR's policy on weight-matrix order change)
-        scanning restarts from the beginning of the new sequence, bounding
-        the fairness perturbation to a single round. With ``restart=False``
-        the current position is folded into the new cycle length, relying
-        on the prefix property of the WSS when lowering the order.
-        """
-        _check_order(order)
-        self._order = order
-        self._length = (1 << order) - 1
-        if restart:
-            self._position = 0
-        else:
-            self._position %= self._length
 
     def advance(self) -> int:
         """Move to the next position (cyclically) and return its term value."""

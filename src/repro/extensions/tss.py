@@ -21,7 +21,7 @@ flow id into exactly those entries.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 from ..core.errors import ConfigurationError
 
@@ -78,12 +78,6 @@ def tss_sequence_recursive(order: int) -> List[int]:
     for _ in range(order):
         seq = [2 * b for b in seq] + [2 * b + 1 for b in seq]
     return seq
-
-
-def iter_tss(order: int) -> Iterator[int]:
-    """Yield ``TSS^order`` lazily."""
-    for i in range(1 << order):
-        yield reverse_bits(i, order)
 
 
 def node_slot_positions(level: int, index: int, order: int) -> List[int]:

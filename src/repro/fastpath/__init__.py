@@ -1,14 +1,12 @@
 """The lean bottleneck replay (:mod:`repro.fastpath.netloop`).
 
-The replay runs on the scalar ``push``/``pull`` lane
-(:mod:`repro.core.lane`) of the reference scheduler cores; see
-``docs/fastpath.md``.
+The replay runs on SRR's scalar ``push``/``pull`` lane (packet mode;
+see :class:`~repro.core.srr.SRRScheduler`); see ``docs/fastpath.md``.
 """
 
 from __future__ import annotations
 
 from ..core.srr import SRRScheduler
-from ..schedulers.drr import DRRScheduler
 
 __all__ = ["FAST_CORES"]
 
@@ -17,5 +15,4 @@ __all__ = ["FAST_CORES"]
 #: exactly these names.
 FAST_CORES = {
     "srr": SRRScheduler,
-    "drr": DRRScheduler,
 }

@@ -13,8 +13,8 @@ to two exact tandem-queue recurrences:
 * **access FIFO** (``src -> R``): arrivals in merged CBR-grid order;
   ``start = max(arrival, prev_finish)``; finish = start + ser_a; the
   packet reaches the bottleneck at finish + prop_a.
-* **bottleneck port** (``R -> dst``): the SRR or DRR scheduler under
-  test on its scalar lane (:mod:`repro.core.lane`), serving
+* **bottleneck port** (``R -> dst``): the SRR scheduler on its
+  packet-mode scalar lane (``push``/``pull``/``pull_batch``), serving
   back-to-back — each serialization completion pulls the next packet at
   that instant. Between consecutive arrivals the loop serves whole
   batches through ``pull_batch`` (SRR fuses a WSS column visit into one
@@ -110,8 +110,8 @@ def run_single_bottleneck_fast(
     Defaults mirror :func:`~repro.bench.scenarios.single_bottleneck_network`
     exactly (same rates, weights, link speeds, delays and overdrive).
     ``scheduler`` must name a discipline with the scalar lane
-    (:data:`~repro.fastpath.FAST_CORES`: ``"srr"`` or ``"drr"``); the
-    loop runs entirely on ``push``/``pull``/``pull_batch``.
+    (:data:`~repro.fastpath.FAST_CORES`: only ``"srr"``); the loop runs
+    entirely on ``push``/``pull``/``pull_batch``.
     """
     if scheduler not in FAST_CORES:
         raise ConfigurationError(

@@ -13,7 +13,7 @@ package makes that regime testable:
   against a live network as ordinary simulator events, exporting
   ``fault_*`` counters and ``fault`` trace events.
 * :mod:`repro.faults.invariants` — :class:`InvariantGuard`, the opt-in
-  ``--check-invariants`` pack asserting SRR matrix integrity, DRR credit
+  ``check_invariants`` pack asserting SRR matrix integrity, DRR credit
   conservation, WFQ virtual-time monotonicity, and work conservation at
   runtime, raising structured
   :class:`~repro.core.errors.InvariantViolation` errors.

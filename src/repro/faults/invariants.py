@@ -20,8 +20,8 @@ trace events leading up to the corruption.
 
 Cost model: per-dequeue checks are O(1) comparisons; the structural
 sweep (matrix walk, per-flow credit audit) is O(flows) and runs every
-``every`` dequeues (default 64). ``--check-invariants`` on the bench CLI
-turns the pack on for experiments that support it.
+``every`` dequeues (default 64). On the bench CLI,
+``--set check_invariants=True`` turns the pack on for e13.
 """
 
 from __future__ import annotations

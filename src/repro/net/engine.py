@@ -204,18 +204,13 @@ class Simulator:
             self._max_heap_depth = queue.size
         return event
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
+    def run(self, until: Optional[float] = None) -> int:
         """Process events in time order.
 
         Args:
             until: Stop once the next event is later than this time (the
                 clock is left at ``until``; an event at exactly ``until``
                 still fires). ``None`` runs to exhaustion.
-            max_events: Safety valve against runaway models.
 
         Returns:
             The number of events processed by this call.
@@ -236,7 +231,7 @@ class Simulator:
         perf_counter = _time.perf_counter
         wall_start = perf_counter()
         try:
-            if until is None and max_events is None and hook is None:
+            if until is None and hook is None:
                 # The common full-drain case: no bound checks per event.
                 while queue.size:
                     event = pop()
@@ -269,8 +264,6 @@ class Simulator:
                         hook(event, perf_counter() - t0)
                     processed += 1
                     self._events_processed += 1
-                    if max_events is not None and processed >= max_events:
-                        break
         finally:
             self._running = False
             self._wall_time += perf_counter() - wall_start

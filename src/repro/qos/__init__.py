@@ -19,7 +19,6 @@ from .control import (
     SLOWatchdog,
     WatermarkPolicy,
     WeightAdapter,
-    WindowRateEstimator,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "SLOWatchdog",
     "WatermarkPolicy",
     "WeightAdapter",
-    "WindowRateEstimator",
 ]

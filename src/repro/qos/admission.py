@@ -118,13 +118,8 @@ class AdmissionController:
         packet_size: The fixed packet size L used in the bound formulas.
         assumed_max_flows: The N plugged into N-dependent bounds (SRR,
             DRR). Default: ``link_rate / weight_unit_bps`` per link —
-            the worst case a fully booked link allows.
-        adaptive_quotes: When True, quotes use the *measured* per-port
-            active-flow count (clamped to the worst case above) instead
-            of the frozen worst-case N, both at admission time and on
-            :meth:`requote`. Off by default: the conservative worst-case
-            quote is the paper's CAC and the baseline the existing
-            experiments assert against.
+            the worst case a fully booked link allows. Admission-time
+            quotes use it; :meth:`requote` uses the measured count.
     """
 
     def __init__(
@@ -135,7 +130,6 @@ class AdmissionController:
         utilization_limit: float = 1.0,
         packet_size: int = 200,
         assumed_max_flows: Optional[int] = None,
-        adaptive_quotes: bool = False,
     ) -> None:
         if not 0 < utilization_limit <= 1.0:
             raise ConfigurationError("utilization_limit must be in (0, 1]")
@@ -146,7 +140,6 @@ class AdmissionController:
         self.utilization_limit = utilization_limit
         self.packet_size = packet_size
         self.assumed_max_flows = assumed_max_flows
-        self.adaptive_quotes = adaptive_quotes
         #: port -> reserved bits/s (id(port) keyed to avoid hashing ports).
         self._reserved: Dict[int, float] = {}
         self.reservations: Dict[Hashable, Reservation] = {}
@@ -211,10 +204,7 @@ class AdmissionController:
         reservation = Reservation(
             flow_id, src, dst, rate_bps, weight, sigma_bytes, path
         )
-        reservation.quote = self._quote(
-            ports, rate_bps, weight, sigma_bytes,
-            measured_n=self.adaptive_quotes,
-        )
+        reservation.quote = self._quote(ports, rate_bps, weight, sigma_bytes)
         reservation.initial_quote = reservation.quote
         self.reservations[flow_id] = reservation
         return reservation
@@ -296,15 +286,6 @@ class AdmissionController:
         )
         reservation.requotes += 1
         return reservation.quote
-
-    def requote_all(self) -> Dict[Hashable, DelayQuote]:
-        """Re-quote every live reservation; flow id -> new quote."""
-        quotes: Dict[Hashable, DelayQuote] = {}
-        for flow_id in list(self.reservations):
-            quote = self.requote(flow_id)
-            if quote is not None:
-                quotes[flow_id] = quote
-        return quotes
 
     def revoke(self, flow_id: Hashable, *, reason: str = "overload") -> bool:
         """Explicitly withdraw a reservation (graceful degradation).

@@ -4,9 +4,9 @@ The static :class:`~repro.qos.admission.AdmissionController` quotes a
 delay bound at reservation time and never looks at the network again.
 This package closes the loop:
 
-* :mod:`~repro.qos.control.estimators` — deterministic EWMA and
-  sliding-window **rate estimators**, fed from the output ports'
-  arrival hooks (per-port offered load, per-flow rates).
+* :mod:`~repro.qos.control.estimators` — deterministic EWMA **rate
+  estimators**, fed from the output ports' arrival hooks (per-port
+  offered load, per-flow rates).
 * :mod:`~repro.qos.control.policy` — the **watermark admission policy**:
   admit below the low watermark, shed probabilistically (seeded RNG,
   bit-identical across ``--jobs``) between low and high, reject above
@@ -23,7 +23,7 @@ This package closes the loop:
   controller tying it all together and exporting counters/gauges.
 """
 
-from .estimators import EWMARateEstimator, RateEstimatorBank, WindowRateEstimator
+from .estimators import EWMARateEstimator, RateEstimatorBank
 from .governor import OverloadGovernor, WeightAdapter
 from .plane import ControlPlane
 from .policy import AdmissionDecision, WatermarkPolicy
@@ -38,5 +38,4 @@ __all__ = [
     "SLOWatchdog",
     "WatermarkPolicy",
     "WeightAdapter",
-    "WindowRateEstimator",
 ]

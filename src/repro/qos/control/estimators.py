@@ -1,8 +1,8 @@
-"""Deterministic rate estimators: EWMA and sliding window.
+"""Deterministic EWMA rate estimation.
 
-Both estimators consume ``observe(now, nbytes)`` events — one call per
+The estimator consumes ``observe(now, nbytes)`` events — one call per
 packet arrival at an output port (or per delivery, for goodput) — and
-answer ``rate_bps(now)``. They are pure functions of their observation
+answers ``rate_bps(now)``. It is a pure function of its observation
 sequence: no wall clock, no RNG, so a ``--jobs N`` sweep sees
 bit-identical estimates to a serial run.
 
@@ -11,23 +11,18 @@ exponential estimator used by router line cards (and by sfctss's
 ``RateEstimator``): on each observation the previous estimate is decayed
 by ``exp(-dt / tau)`` and the new sample ``bytes * 8 / dt`` is blended
 in with weight ``1 - exp(-dt / tau)``. Bursts show up within ~``tau``
-seconds and fade just as fast.
-
-:class:`WindowRateEstimator` is the exact windowed alternative: byte
-counts binned into fixed sub-buckets covering the last ``window_s``
-seconds; the rate is total bytes over the window. Exact but steppy;
-useful when the controller wants a hard "bytes in the last 500 ms"
-semantics rather than a smoothed view.
+seconds and fade just as fast. :class:`RateEstimatorBank` keeps one
+estimator per key (a port or a flow).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, Optional
 
 from ...core.errors import ConfigurationError
 
-__all__ = ["EWMARateEstimator", "WindowRateEstimator", "RateEstimatorBank"]
+__all__ = ["EWMARateEstimator", "RateEstimatorBank"]
 
 
 class EWMARateEstimator:
@@ -96,94 +91,21 @@ class EWMARateEstimator:
         return f"EWMARateEstimator(tau_s={self.tau_s}, rate={self._rate_bps:.0f})"
 
 
-class WindowRateEstimator:
-    """Exact byte rate over a sliding window of ``buckets`` sub-bins."""
-
-    __slots__ = ("window_s", "buckets", "_bucket_s", "_counts", "_head_epoch")
-
-    def __init__(self, window_s: float = 0.5, buckets: int = 10) -> None:
-        if window_s <= 0:
-            raise ConfigurationError(
-                f"window_s must be positive, got {window_s}"
-            )
-        if buckets < 1:
-            raise ConfigurationError(f"buckets must be >= 1, got {buckets}")
-        self.window_s = window_s
-        self.buckets = buckets
-        self._bucket_s = window_s / buckets
-        #: Ring of per-bucket byte counts; index = epoch % buckets.
-        self._counts: List[int] = [0] * buckets
-        #: Epoch (bucket index since t=0) of the newest observation.
-        self._head_epoch = -1
-
-    def _advance(self, epoch: int) -> None:
-        if self._head_epoch < 0:
-            self._head_epoch = epoch
-            return
-        if epoch <= self._head_epoch:
-            return
-        gap = epoch - self._head_epoch
-        if gap >= self.buckets:
-            self._counts = [0] * self.buckets
-        else:
-            for e in range(self._head_epoch + 1, epoch + 1):
-                self._counts[e % self.buckets] = 0
-        self._head_epoch = epoch
-
-    def observe(self, now: float, nbytes: int) -> None:
-        """Record ``nbytes`` at ``now`` (non-decreasing ``now`` expected)."""
-        epoch = int(now / self._bucket_s)
-        self._advance(epoch)
-        self._counts[epoch % self.buckets] += nbytes
-
-    def rate_bps(self, now: float) -> float:
-        """Bytes observed in the trailing window, as bits per second."""
-        epoch = int(now / self._bucket_s)
-        self._advance(epoch)
-        return sum(self._counts) * 8.0 / self.window_s
-
-    def __repr__(self) -> str:
-        return (
-            f"WindowRateEstimator(window_s={self.window_s}, "
-            f"buckets={self.buckets})"
-        )
-
-
 class RateEstimatorBank:
-    """Per-key estimators sharing one configuration (ports and flows).
+    """Per-key EWMA estimators sharing one time constant (ports and flows).
 
-    ``kind`` picks the estimator family (``"ewma"`` / ``"window"``);
-    keys are created lazily on first observation so churned flows cost
+    Keys are created lazily on first observation so churned flows cost
     nothing until they send.
     """
 
-    def __init__(
-        self,
-        kind: str = "ewma",
-        *,
-        tau_s: float = 0.25,
-        window_s: float = 0.5,
-        buckets: int = 10,
-    ) -> None:
-        if kind not in ("ewma", "window"):
-            raise ConfigurationError(
-                f"estimator kind must be 'ewma' or 'window', got {kind!r}"
-            )
-        self.kind = kind
+    def __init__(self, *, tau_s: float = 0.25) -> None:
         self.tau_s = tau_s
-        self.window_s = window_s
-        self.buckets = buckets
-        self._estimators: Dict[Hashable, object] = {}
-
-    def _make(self):
-        if self.kind == "ewma":
-            return EWMARateEstimator(self.tau_s)
-        return WindowRateEstimator(self.window_s, self.buckets)
+        self._estimators: Dict[Hashable, EWMARateEstimator] = {}
 
     def observe(self, key: Hashable, now: float, nbytes: int) -> None:
         est = self._estimators.get(key)
         if est is None:
-            est = self._estimators[key] = self._make()
+            est = self._estimators[key] = EWMARateEstimator(self.tau_s)
         est.observe(now, nbytes)
 
     def rate_bps(self, key: Hashable, now: float) -> float:
@@ -203,4 +125,4 @@ class RateEstimatorBank:
         return len(self._estimators)
 
     def __repr__(self) -> str:
-        return f"RateEstimatorBank(kind={self.kind!r}, keys={len(self)})"
+        return f"RateEstimatorBank(tau_s={self.tau_s}, keys={len(self)})"

@@ -101,8 +101,8 @@ class ControlPlane:
         self.policy = WatermarkPolicy(
             low, high, rng=random.Random(seed)
         )
-        self.port_rates = RateEstimatorBank(kind="ewma", tau_s=tau_s)
-        self.flow_rates = RateEstimatorBank(kind="ewma", tau_s=tau_s)
+        self.port_rates = RateEstimatorBank(tau_s=tau_s)
+        self.flow_rates = RateEstimatorBank(tau_s=tau_s)
         self.watchdog = SLOWatchdog(mode=mode, registry=registry)
         self.governor: Optional[OverloadGovernor] = None
         if admission is not None:

@@ -20,9 +20,6 @@ DRR's weakness relative to SRR is *latency and burstiness*: a flow's whole
 per-round allocation is delivered in one contiguous burst, so the gap
 between a flow's bursts grows with the number of active flows and with
 total weight — exactly the effect experiments E2-E4 measure.
-
-Besides ``enqueue``/``dequeue``, DRR carries the scalar
-``push``/``pull`` lane (:mod:`repro.core.lane`).
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from typing import ClassVar, Deque, Optional
 from ..core.errors import ConfigurationError
 from ..core.flow import FlowState
 from ..core.interfaces import FlowTableScheduler
-from ..core.lane import Item, ScalarLane
 from ..core.packet import Packet
 
 __all__ = ["DRRScheduler"]
@@ -46,7 +42,7 @@ __all__ = ["DRRScheduler"]
 MIN_VISIT_CREDIT = 2.0 ** -20
 
 
-class DRRScheduler(ScalarLane, FlowTableScheduler):
+class DRRScheduler(FlowTableScheduler):
     """Deficit Round Robin with per-flow ``weight * quantum`` byte credit."""
 
     name: ClassVar[str] = "drr"
@@ -110,35 +106,6 @@ class DRRScheduler(ScalarLane, FlowTableScheduler):
                     self._head_charged = False
                 return self._account_departure(packet)
             # Credit exhausted for this round: rotate, keep the deficit.
-            active.rotate(-1)
-            self._head_charged = False
-        return None
-
-    def pull(self) -> Optional[Item]:
-        """:meth:`dequeue` on the scalar lane: ``(slot, size, ref)``."""
-        ops = self._ops
-        active = self._active
-        while active:
-            ops.bump()
-            flow = active[0]
-            if not self._head_charged:
-                flow.deficit += flow.weight * self.quantum
-                self._head_charged = True
-            queue = flow.queue
-            size = queue[0][1]
-            if size <= flow.deficit:
-                item = queue.popleft()
-                flow.packets_sent += 1
-                flow.bytes_sent += size
-                flow.deficit -= size
-                if not queue:
-                    flow.deficit = 0
-                    active.popleft()
-                    self._active_set.discard(flow.flow_id)
-                    self._head_charged = False
-                self._backlog_packets -= 1
-                self._backlog_bytes -= size
-                return item
             active.rotate(-1)
             self._head_charged = False
         return None

@@ -3,40 +3,26 @@
 import pytest
 
 from repro.core import ConfigurationError
-from repro.analysis import (
-    curve_from_finish_times,
-    curve_from_records,
-    format_table,
-    horizontal_deviation,
-    max_ideal_lag,
-)
+from repro.analysis import format_table, max_ideal_lag
 
 
 class TestCurves:
-    def test_curve_from_finish_times(self):
-        curve = curve_from_finish_times([0.3, 0.1, 0.2], 100)
-        assert curve == [(0.1, 100), (0.2, 200), (0.3, 300)]
-
     def test_on_time_service_zero_deviation(self):
         # 100 B every 0.1 s = 8000 bps exactly.
-        curve = [(0.1 * (i + 1), 100 * (i + 1)) for i in range(10)]
-        assert horizontal_deviation(curve, 8000) == pytest.approx(0.0)
+        finish = [0.1 * (i + 1) for i in range(10)]
+        assert max_ideal_lag(finish, 8000, 100) == pytest.approx(0.0)
 
     def test_late_service_measured(self):
-        curve = [(0.5, 100)]  # 100 B due at 0.1 s, arrived at 0.5 s
-        assert horizontal_deviation(curve, 8000) == pytest.approx(0.4)
+        # 100 B due at 0.1 s, finished at 0.5 s.
+        assert max_ideal_lag([0.5], 8000, 100) == pytest.approx(0.4)
 
     def test_early_service_clamped_to_zero(self):
-        curve = [(0.05, 100)]
-        assert horizontal_deviation(curve, 8000) == 0.0
+        assert max_ideal_lag([0.05], 8000, 100) == 0.0
 
     def test_start_time_shift(self):
-        curve = [(1.1, 100)]
-        assert horizontal_deviation(curve, 8000, start_time=1.0) == pytest.approx(0.0)
-
-    def test_unordered_curve_rejected(self):
-        with pytest.raises(ConfigurationError):
-            horizontal_deviation([(0.2, 100), (0.1, 200)], 8000)
+        assert max_ideal_lag(
+            [1.1], 8000, 100, start_time=1.0
+        ) == pytest.approx(0.0)
 
     def test_max_ideal_lag_matches_definition(self):
         # Packets due at 0.1, 0.2, 0.3; actual 0.1, 0.25, 0.31.
@@ -45,34 +31,18 @@ class TestCurves:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            curve_from_finish_times([0.1], 0)
-        with pytest.raises(ConfigurationError):
             max_ideal_lag([0.1], 0, 100)
-
-    def test_curve_from_records_variable_sizes(self):
-        curve = curve_from_records([0.3, 0.1, 0.2], [1500, 40, 200])
-        assert curve == [(0.1, 40), (0.2, 240), (0.3, 1740)]
-
-    def test_curve_from_records_validation(self):
         with pytest.raises(ConfigurationError):
-            curve_from_records([0.1, 0.2], [100])  # length mismatch
-        with pytest.raises(ConfigurationError):
-            curve_from_records([0.1], [0])  # non-positive size
-        with pytest.raises(ConfigurationError):
-            curve_from_records([float("nan")], [100])
+            max_ideal_lag([0.1], 8000, 0)
 
     def test_nan_finish_times_rejected(self):
         nan = float("nan")
-        with pytest.raises(ConfigurationError):
-            curve_from_finish_times([0.1, nan], 100)
         with pytest.raises(ConfigurationError):
             max_ideal_lag([0.1, nan], 8000, 100)
 
     def test_empty_curve_raises_not_zero(self):
         # A starved flow must surface as an error, never as a perfect
         # 0.0 deviation (the silent-zero bug E10 used to inherit).
-        with pytest.raises(ConfigurationError):
-            horizontal_deviation([], 8000)
         with pytest.raises(ConfigurationError):
             max_ideal_lag([], 8000, 100)
 

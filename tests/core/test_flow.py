@@ -1,11 +1,11 @@
-"""Tests for repro.core.flow (FlowState, weight validation, bit iteration)."""
+"""Tests for repro.core.flow (FlowState, weight validation)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.errors import InvalidWeightError
-from repro.core.flow import FlowState, check_weight, iter_set_bits
+from repro.core.flow import FlowState, check_weight
 from repro.core.packet import Packet
 
 
@@ -22,18 +22,6 @@ class TestCheckWeight:
     def test_rejects_oversized(self):
         with pytest.raises(InvalidWeightError):
             check_weight(1 << 63)
-
-
-class TestIterSetBits:
-    def test_examples(self):
-        assert list(iter_set_bits(0)) == []
-        assert list(iter_set_bits(1)) == [0]
-        assert list(iter_set_bits(6)) == [1, 2]
-        assert list(iter_set_bits(0b10110010)) == [1, 4, 5, 7]
-
-    @given(st.integers(min_value=0, max_value=2**60))
-    def test_reconstructs_value(self, v):
-        assert sum(1 << b for b in iter_set_bits(v)) == v
 
 
 class TestFlowState:

@@ -19,6 +19,7 @@ from repro.core import (
     SRRScheduler,
     UnknownFlowError,
 )
+from repro.core.wss import wss_sequence_recursive
 
 
 def drain(sched, limit=None):
@@ -404,41 +405,27 @@ class TestDeficitMode:
             SRRScheduler(mode="deficit", quantum=0)
 
 
-class TestWSSStorageStrategies:
-    """The paper stores the WSS in an array; we default to the closed
-    form. Both must schedule identically (E9 ablation support)."""
+class TestWSSScanOrder:
+    """SRR's closed-form scan against the paper's recursive WSS (Eq. 7)."""
 
-    def test_identical_service_order(self):
-        weights = {f"f{i}": (i % 5) + 1 for i in range(9)}
-        orders = []
-        for storage in ("closed", "materialized"):
-            s = SRRScheduler(wss_storage=storage)
-            for fid, w in weights.items():
-                s.add_flow(fid, w)
-            load(s, weights, packets_each=40)
-            orders.append(drain(s, limit=120))
-        assert orders[0] == orders[1]
-
-    def test_materialized_handles_order_changes(self):
-        s = SRRScheduler(wss_storage="materialized")
-        s.add_flow("a", 1)
-        s.add_flow("b", 64)
-        s.enqueue(Packet("a", 100))
-        assert s.dequeue().flow_id == "a"
-        load(s, {"b": 1}, packets_each=5)
-        assert drain(s) == ["b"] * 5
-
-    def test_invalid_storage_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SRRScheduler(wss_storage="folded-wrong")
+    def test_serves_columns_in_reference_wss_order(self):
+        # One backlogged flow per column j (weight 2^j): each WSS term v
+        # serves exactly the flow of column k - v, so every order's
+        # service sequence spells out WSS^k term by term.
+        for k in range(1, 11):
+            s = SRRScheduler()
+            for j in range(k):
+                s.add_flow(f"c{j}", 1 << j)
+                load(s, [f"c{j}"], packets_each=3 * (1 << j) + 1)
+            expected = [f"c{k - v}" for v in wss_sequence_recursive(k)] * 3
+            assert drain(s, limit=len(expected)) == expected, k
 
 
-class TestOrderChangePolicies:
-    """Ablation of the dynamic-order policy (DESIGN.md section 5)."""
+class TestOrderChangePolicy:
+    """The restart-on-order-change policy (DESIGN.md section 5)."""
 
-    @pytest.mark.parametrize("policy", ["restart", "continue"])
-    def test_round_fairness_holds_after_order_change(self, policy):
-        s = SRRScheduler(order_change=policy)
+    def test_round_fairness_holds_after_order_change(self):
+        s = SRRScheduler()
         s.add_flow("a", 3)
         s.add_flow("b", 1)
         load(s, {"a": 1, "b": 1}, packets_each=100)
@@ -447,15 +434,13 @@ class TestOrderChangePolicies:
         s.add_flow("c", 8)
         load(s, {"c": 1}, packets_each=200)
         seq = drain(s, limit=3 * 12)  # ~three rounds of total weight 12
-        # Shares settle at 8:3:1; "continue" starts mid-round, so allow
-        # one round of phase slack.
+        # Shares settle at 8:3:1 within one round of phase slack.
         assert abs(seq.count("c") - 24) <= 3
         assert abs(seq.count("a") - 9) <= 3
         assert abs(seq.count("b") - 3) <= 2
 
-    @pytest.mark.parametrize("policy", ["restart", "continue"])
-    def test_order_shrink(self, policy):
-        s = SRRScheduler(order_change=policy)
+    def test_order_shrink(self):
+        s = SRRScheduler()
         s.add_flow("big", 8)
         s.add_flow("small", 1)
         for i in range(3):
@@ -467,10 +452,6 @@ class TestOrderChangePolicies:
         assert sorted(map(str, got)) == ["big", "big", "big", "small"]
         s.enqueue(Packet("small", 100))
         assert s.dequeue().flow_id == "small"
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SRRScheduler(order_change="maybe")
 
 
 class TestAccounting:

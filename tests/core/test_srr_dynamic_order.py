@@ -9,8 +9,6 @@ share (``m*w ± w``) — exactly the regime the fault injector's churn
 events drive in E13.
 """
 
-import pytest
-
 from repro.core import Packet, SRRScheduler
 
 
@@ -81,9 +79,8 @@ class TestHeavierFlowJoins:
         load(s, "big", 200)
         assert s.order == 4  # k jumped with the new highest column
 
-    @pytest.mark.parametrize("order_change", ["restart", "continue"])
-    def test_fairness_after_join_within_one_round(self, order_change):
-        s = SRRScheduler(order_change=order_change)
+    def test_fairness_after_join_within_one_round(self):
+        s = SRRScheduler()
         s.add_flow("light", 1)
         s.add_flow("mid", 2)
         load(s, "light", 200)

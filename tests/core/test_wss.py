@@ -145,21 +145,6 @@ class TestCursor:
         cur.advance()
         assert cur.position == 1  # wrapped
 
-    def test_set_order_restart(self):
-        cur = WSSCursor(3)
-        for _ in range(5):
-            cur.advance()
-        cur.set_order(5)
-        assert cur.position == 0
-        assert cur.advance() == 1
-
-    def test_set_order_without_restart_folds_position(self):
-        cur = WSSCursor(5)
-        for _ in range(20):
-            cur.advance()
-        cur.set_order(3, restart=False)
-        assert 0 <= cur.position <= 6
-
     def test_order_property(self):
         cur = WSSCursor(6)
         assert cur.order == 6

@@ -1,18 +1,20 @@
 """The scalar lane against the packet lane of the same scheduler.
 
-SRR and DRR serve ``push``/``pull`` (``(slot, size, ref)`` tuples) and
-``enqueue``/``dequeue`` (Packet objects) through one set of service
-structures. Driven with the same randomized churn, two instances — one
-per lane — must agree on every accept/reject decision, the service
-order, backlog accounting, per-flow credit and service counters,
-elementary-op counts and, for SRR, the number of WSS terms scanned.
-``pull_batch(k)`` must equal ``k`` pulls.
+SRR in packet mode serves ``push``/``pull`` (``(slot, size, ref)``
+tuples) and ``enqueue``/``dequeue`` (Packet objects) through one set of
+service structures. Driven with the same randomized churn, two
+instances — one per lane — must agree on every accept/reject decision,
+the service order, backlog accounting, per-flow service counters,
+elementary-op counts and the number of WSS terms scanned.
+``pull_batch(k)`` must equal ``k`` pulls. In deficit mode the lane
+refuses to serve.
 """
 
 import random
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.core.opcount import OpCounter
 from repro.core.packet import Packet
 from repro.schedulers.registry import create_scheduler
@@ -21,13 +23,6 @@ WEIGHTS = [1, 2, 3, 5, 8, 13, 64]
 
 CONFIGS = [
     pytest.param("srr", {"quantum": 200}, id="srr-packet"),
-    pytest.param("srr", {"mode": "deficit", "quantum": 200},
-                 id="srr-deficit"),
-    pytest.param(
-        "srr", {"wss_storage": "materialized", "order_change": "continue"},
-        id="srr-materialized-continue",
-    ),
-    pytest.param("drr", {"quantum": 200}, id="drr"),
 ]
 
 
@@ -60,13 +55,13 @@ def lane_pull(lane, fids):
 
 
 def assert_same_cost(obj, lane, obj_ops, lane_ops, step):
-    """Equal op counts and, for SRR, equal WSS terms scanned so far."""
+    """Equal op counts and equal WSS terms scanned so far."""
     assert obj_ops.count == lane_ops.count, (
         f"step {step}: op-count profiles diverged"
     )
-    assert getattr(obj, "terms_scanned", 0) == getattr(
-        lane, "terms_scanned", 0
-    ), f"step {step}: WSS terms scanned diverged"
+    assert obj.terms_scanned == lane.terms_scanned, (
+        f"step {step}: WSS terms scanned diverged"
+    )
 
 
 @pytest.mark.parametrize("name,kwargs", CONFIGS)
@@ -166,8 +161,7 @@ def test_pull_batch_matches_object_dequeue_sequence(name, kwargs):
     assert got == expected  # slots equal flow ids: added in id order
     assert lane.backlog == 0 and lane.backlog_bytes == 0
     assert lane_ops.count == obj_ops.count
-    if hasattr(obj, "terms_scanned"):
-        assert obj.terms_scanned == lane.terms_scanned
+    assert obj.terms_scanned == lane.terms_scanned
 
 
 @pytest.mark.parametrize("name,kwargs", CONFIGS)
@@ -202,20 +196,14 @@ def test_slots_are_recycled():
     assert sched.pull() == (slot_a, 100, "ref")
 
 
-def test_materialized_wss_table_is_shared_across_instances():
-    """``wss_storage="materialized"`` reads the process-wide memoised
-    table from :mod:`repro.core.wss` — one copy per order, shared by
-    every instance, never rebuilt per scheduler."""
-    a = create_scheduler("srr", wss_storage="materialized")
-    b = create_scheduler("srr", wss_storage="materialized")
-    for sched in (a, b):
-        for i, w in enumerate((1, 2, 4)):
-            sched.add_flow(i, w)
-            sched.push(sched.slot_of(i), 100)
-        while sched.pull() is not None:
-            pass
-    order = 3  # three columns occupied above
-    from repro.core.wss import _materialized
-
-    assert a._wss_tables[order]._seq is b._wss_tables[order]._seq
-    assert a._wss_tables[order]._seq is _materialized(order)
+def test_deficit_mode_has_no_scalar_lane():
+    """Deficit mode runs on ``enqueue``/``dequeue`` only: ``pull`` and
+    ``pull_batch`` refuse rather than serve."""
+    sched = create_scheduler("srr", mode="deficit", quantum=200)
+    sched.add_flow("a", 1)
+    sched.push(sched.slot_of("a"), 100)
+    with pytest.raises(ConfigurationError):
+        sched.pull()
+    with pytest.raises(ConfigurationError):
+        sched.pull_batch(4)
+    assert sched.backlog == 1

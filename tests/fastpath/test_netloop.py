@@ -17,8 +17,8 @@ from repro.fastpath.netloop import run_single_bottleneck_fast
 from repro.schedulers.registry import create_scheduler
 
 
-def object_reference(n_flows, until, scheduler="srr"):
-    net = single_bottleneck_network(scheduler, n_flows)
+def object_reference(n_flows, until):
+    net = single_bottleneck_network("srr", n_flows)
     net.run(until=until)
     out = {}
     for fid, rec in net.sinks.flows.items():
@@ -55,16 +55,6 @@ class TestFaithfulness:
             assert got[fid][1] == nbytes, f"{fid}: delivered bytes"
             assert got[fid][2] == pytest.approx(delay_sum, abs=1e-9), fid
             assert got[fid][3] == pytest.approx(delay_max, abs=1e-12), fid
-
-    def test_drr_core_matches_too(self):
-        expected = object_reference(8, 0.5, scheduler="drr")
-        run = run_single_bottleneck_fast(8, 0.5, scheduler="drr")
-        got = fast_by_fid(run)
-        assert {
-            fid: (p, b) for fid, (p, b, _s, _m) in got.items()
-        } == {
-            fid: (p, b) for fid, (p, b, _s, _m) in expected.items()
-        }
 
     def test_unsaturated_run_matches(self):
         net = single_bottleneck_network("srr", 4, saturate=False)
@@ -138,8 +128,9 @@ class TestScanBound:
 
 class TestGuards:
     def test_scheduler_without_scalar_lane_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_single_bottleneck_fast(4, 0.1, scheduler="wfq")
+        for name in ("wfq", "drr"):
+            with pytest.raises(ConfigurationError):
+                run_single_bottleneck_fast(4, 0.1, scheduler=name)
 
     def test_overbooked_link_is_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -84,14 +84,6 @@ class TestRunControl:
         sim.run(until=10.0)
         assert sim.now == 10.0
 
-    def test_max_events(self):
-        sim = Simulator()
-        out = []
-        for i in range(10):
-            sim.schedule(float(i), out.append, i)
-        sim.run(max_events=4)
-        assert out == [0, 1, 2, 3]
-
     def test_cancellation(self):
         sim = Simulator()
         out = []

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core import ConfigurationError
-from repro.qos import (
-    EWMARateEstimator,
-    RateEstimatorBank,
-    WindowRateEstimator,
-)
+from repro.qos import EWMARateEstimator, RateEstimatorBank
 
 
 class TestEWMA:
@@ -49,29 +45,9 @@ class TestEWMA:
             EWMARateEstimator(tau_s=0.0)
 
 
-class TestWindow:
-    def test_exact_rate_over_window(self):
-        est = WindowRateEstimator(window_s=0.5, buckets=10)
-        for i in range(10):
-            est.observe(i * 0.05, 100)  # 1000 bytes inside the window
-        assert est.rate_bps(0.45) == pytest.approx(1000 * 8 / 0.5)
-
-    def test_old_buckets_expire(self):
-        est = WindowRateEstimator(window_s=0.5, buckets=10)
-        est.observe(0.0, 10_000)
-        assert est.rate_bps(0.1) > 0
-        assert est.rate_bps(5.0) == 0.0  # whole window has rolled over
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ConfigurationError):
-            WindowRateEstimator(window_s=0.0)
-        with pytest.raises(ConfigurationError):
-            WindowRateEstimator(buckets=0)
-
-
 class TestBank:
     def test_lazy_keys_and_drop(self):
-        bank = RateEstimatorBank(kind="ewma", tau_s=0.1)
+        bank = RateEstimatorBank(tau_s=0.1)
         assert len(bank) == 0
         assert bank.rate_bps("ghost", 1.0) == 0.0
         bank.observe("f1", 0.0, 200)
@@ -80,12 +56,3 @@ class TestBank:
         bank.drop("f1")
         assert len(bank) == 1
         bank.drop("f1")  # idempotent
-
-    def test_window_kind(self):
-        bank = RateEstimatorBank(kind="window", window_s=1.0, buckets=4)
-        bank.observe("p", 0.0, 1000)
-        assert bank.rate_bps("p", 0.5) == pytest.approx(8000.0)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            RateEstimatorBank(kind="kalman")

@@ -63,15 +63,6 @@ class TestRequote:
     def test_requote_unknown_flow_returns_none(self):
         assert make_cac().requote("ghost") is None
 
-    def test_adaptive_quotes_at_admission(self):
-        """With adaptive_quotes=True the admission-time quote itself uses
-        the measured N instead of the worst case."""
-        frozen = make_cac().request("f1", "a", "b", 100_000).quote
-        adaptive = make_cac(adaptive_quotes=True).request(
-            "f1", "a", "b", 100_000
-        ).quote
-        assert adaptive.total < frozen.total
-
 
 class TestRevoke:
     def test_revoke_releases_and_audits(self):
